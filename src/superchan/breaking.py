@@ -235,10 +235,7 @@ def measure_prepare_from_decomposition(
 def choi_from_measure_prepare(mp: MeasurePrepare) -> LabeledOperator:
     """Assemble sum_i M_i ⊗ sigma_i (separable across the two sides)."""
     terms = [kron(m, s) for m, s in zip(mp.povm, mp.states)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    return sum(terms[1:], terms[0])
 
 
 def apply_measure_prepare(mp: MeasurePrepare, rho: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from .operators import (
     SystemList,
     _as_system_list,
     mat,
-    numeric_rank,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -171,11 +170,11 @@ def kraus_from_choi(c: ChoiRep, tol: float = DEFAULT_ATOL,
                     rank_rtol: float = DEFAULT_RANK_RTOL) -> KrausRep:
     """Minimal Kraus set from the spectral decomposition of the Choi operator.
 
-    The number of operators equals the numeric rank of the Choi matrix.
+    There is one operator per eigenvalue above ``rank_rtol`` times the largest.
     Raises ``NotPSD`` when the channel is not completely positive at ``tol``.
     """
     dec = psd_decompose(c.op, tol=tol, require_psd=True)
-    r = numeric_rank(c.op, rank_rtol)
+    r = int(np.count_nonzero(dec.eigenvalues > rank_rtol * dec.eigenvalues[0]))
     if r == 0:
         raise NotPSD("zero Choi operator has no Kraus decomposition")
     split = c.input_labels

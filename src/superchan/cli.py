@@ -8,6 +8,7 @@ parse, or structural errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -221,51 +222,19 @@ def _load_superchannel(path) -> SuperchannelChoi:
 def _cmd_validate(args) -> int:
     obj = load_document(args.file)
     if isinstance(obj, SuperchannelChoi):
-        report = validate_superchannel(obj, tol=args.tol)
-        lines = [
-            f"hermitian: {'pass' if report.hermitian else 'FAIL'}",
-            f"cp: {'pass' if report.cp else 'FAIL'} "
-            f"(min eigenvalue {report.min_eigenvalue:.3e})",
-            f"tp: {'pass' if report.tp else 'FAIL'} "
-            f"(deviation {report.tp_deviation:.3e})",
-            f"ns: {'pass' if report.ns else 'FAIL'} "
-            f"(deviation {report.ns_deviation:.3e})",
-            f"result: {'valid superchannel' if report.valid else 'INVALID'}",
-        ]
-        payload = {
-            "kind": "superchannel",
-            "hermitian": report.hermitian,
-            "cp": report.cp,
-            "min_eigenvalue": report.min_eigenvalue,
-            "tp": report.tp,
-            "tp_deviation": report.tp_deviation,
-            "ns": report.ns,
-            "ns_deviation": report.ns_deviation,
-            "valid": report.valid,
-            "tol": args.tol,
-        }
-        _emit_report(lines, payload, args)
-        return 0 if report.valid else 2
-    choi = _as_choi(obj)
-    report = validate_channel(choi, tol=args.tol)
+        kind, report = "superchannel", validate_superchannel(obj, tol=args.tol)
+    else:
+        kind, report = "channel", validate_channel(_as_choi(obj), tol=args.tol)
+    mark = lambda ok: "pass" if ok else "FAIL"
     lines = [
-        f"hermitian: {'pass' if report.hermitian else 'FAIL'}",
-        f"cp: {'pass' if report.cp else 'FAIL'} "
-        f"(min eigenvalue {report.min_eigenvalue:.3e})",
-        f"tp: {'pass' if report.tp else 'FAIL'} "
-        f"(deviation {report.tp_deviation:.3e})",
-        f"result: {'valid channel' if report.valid else 'INVALID'}",
+        f"hermitian: {mark(report.hermitian)}",
+        f"cp: {mark(report.cp)} (min eigenvalue {report.min_eigenvalue:.3e})",
+        f"tp: {mark(report.tp)} (deviation {report.tp_deviation:.3e})",
     ]
-    payload = {
-        "kind": "channel",
-        "hermitian": report.hermitian,
-        "cp": report.cp,
-        "min_eigenvalue": report.min_eigenvalue,
-        "tp": report.tp,
-        "tp_deviation": report.tp_deviation,
-        "valid": report.valid,
-        "tol": args.tol,
-    }
+    if kind == "superchannel":
+        lines.append(f"ns: {mark(report.ns)} (deviation {report.ns_deviation:.3e})")
+    lines.append(f"result: {f'valid {kind}' if report.valid else 'INVALID'}")
+    payload = {"kind": kind, **dataclasses.asdict(report), "valid": report.valid}
     _emit_report(lines, payload, args)
     return 0 if report.valid else 2
 
@@ -309,11 +278,11 @@ def _cmd_gour(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    if args.out is None:
+        raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     theta = _load_superchannel(args.theta)
     result = realize(theta, tol=max(args.tol, 1e-8), rank_rtol=args.rank_rtol,
                      validity_tol=args.tol)
-    if args.out is None:
-        raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     v_path = f"{args.out}.V.json"
     w_path = f"{args.out}.W.json"
     save_document(result.v, v_path)

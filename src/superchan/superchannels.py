@@ -21,9 +21,14 @@ from .errors import DimensionMismatch, NotAValidSuperchannel, ResidualTooLarge
 from .channels import (
     ChoiRep,
     KrausRep,
+    LiouvilleRep,
+    StinespringRep,
+    _rng,
+    apply_channel,
     choi_from_kraus,
     kraus_from_choi,
     link_product,
+    liouville_from_kraus,
     random_channel,
     validate_channel,
 )
@@ -199,41 +204,29 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
 
 def validate_superchannel(op, dims: SuperchannelDims | None = None,
                           tol: float = DEFAULT_ATOL) -> SuperchannelReport:
-    """Check the CP, TP and NS conditions; report-style, never raises."""
+    """Check the CP, TP and NS conditions; report-style, never raises.
+
+    CP and TP are the channel checks of the same operator read as a channel
+    (A1, A2) -> (B1, B2); only the NS condition is specific to superchannels.
+    """
     if isinstance(op, SuperchannelChoi):
         op = op.op
     if op.in_systems.labels != CHOI_ORDER and dims is not None:
         op = LabeledOperator(op.matrix, dims.systems(), dims.systems())
-    if len(op.in_systems) != 4 or op.in_systems != op.out_systems:
-        raise DimensionMismatch("expected a square operator on four systems")
-    d = SuperchannelDims(*op.in_systems.dims)
-    j = op.matrix
-    scale = max(1.0, float(np.linalg.norm(j)))
-    hermitian = bool(np.linalg.norm(j - j.conj().T) <= tol * scale)
-    min_eig = float(np.min(np.linalg.eigvalsh((j + j.conj().T) / 2.0)))
-    cp = hermitian and min_eig >= -tol
+    channel = validate_channel(ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:]), tol)
 
-    tp_marg = partial_trace(op, ["B1", "B2"]).matrix
-    tp_dev = float(np.linalg.norm(tp_marg - np.eye(d.a1 * d.a2)))
-
+    d_a2 = op.in_systems.dim_of("A2")
     lhs = partial_trace(op, ["B2"])
     marginal = partial_trace(op, ["A2", "B2"])
     rhs = permute_systems(
-        kron(marginal, identity_operator([("A2", d.a2)]) * (1.0 / d.a2)),
+        kron(marginal, identity_operator([("A2", d_a2)]) * (1.0 / d_a2)),
         ("A1", "A2", "B1"),
         ("A1", "A2", "B1"),
     )
     ns_dev = float(np.linalg.norm(lhs.matrix - rhs.matrix))
-
+    scale = max(1.0, float(np.linalg.norm(op.matrix)))
     return SuperchannelReport(
-        hermitian=hermitian,
-        cp=cp,
-        min_eigenvalue=min_eig,
-        tp=bool(tp_dev <= tol * scale),
-        tp_deviation=tp_dev,
-        ns=bool(ns_dev <= tol * scale),
-        ns_deviation=ns_dev,
-        tol=tol,
+        **vars(channel), ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev
     )
 
 
@@ -308,37 +301,29 @@ def gour_from_choi(theta: SuperchannelChoi,
                    cross_check_tol: float = 1e-12) -> LabeledOperator:
     """Operator on B1 ⊗ A2 ⊗ A1 ⊗ B2 built from the action on basis maps.
 
-    Computed two independent ways: summing the superchannel's action over
-    the matrix-unit basis of maps B1 -> A2, and permuting the Choi operator
-    into the (B1, A2, A1, B2) order.  The two must agree; disagreement is a
-    hard internal error.
+    Computed two independent ways: writing the superchannel's image of each
+    matrix-unit map B1 -> A2 into its (B1, A2) block, and permuting the Choi
+    operator into the (B1, A2, A1, B2) order.  The two must agree;
+    disagreement is a hard internal error.
     """
     d = theta.dims
     permuted = permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
 
+    n, m = d.b1 * d.a2, d.a1 * d.b2
     in_sys = SystemList([("B1", d.b1), ("A2", d.a2)])
-    basis_total = np.zeros(
-        (d.b1 * d.a2 * d.a1 * d.b2,) * 2, dtype=np.complex128
-    )
-    eye_out = np.eye(d.a1 * d.b2)
-    for i in range(d.b1):
-        for j in range(d.b1):
-            for k in range(d.a2):
-                for l in range(d.a2):
-                    unit = np.zeros((d.b1 * d.a2,) * 2, dtype=np.complex128)
-                    unit[i * d.a2 + k, j * d.a2 + l] = 1.0
-                    probe = ChoiRep(
-                        LabeledOperator(unit, in_sys, in_sys), ("B1",), ("A2",)
-                    )
-                    image = apply_to_channel(
-                        theta, probe, validate_input=False
-                    ).op.matrix
-                    basis_total += np.kron(unit, image)
-    gour_sys = SystemList(
-        [("B1", d.b1), ("A2", d.a2), ("A1", d.a1), ("B2", d.b2)]
-    )
-    built = LabeledOperator(basis_total, gour_sys, gour_sys)
-    drift = float(np.max(np.abs(built.matrix - permuted.matrix)))
+    blocks = np.empty((n, m, n, m), dtype=np.complex128)
+    for row in range(n):
+        for col in range(n):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[row, col] = 1.0
+            probe = ChoiRep(
+                LabeledOperator(unit, in_sys, in_sys), ("B1",), ("A2",)
+            )
+            blocks[row, :, col, :] = apply_to_channel(
+                theta, probe, validate_input=False
+            ).op.matrix
+    built = blocks.reshape(n * m, n * m)
+    drift = float(np.max(np.abs(built - permuted.matrix)))
     if drift > cross_check_tol * max(1.0, float(np.max(np.abs(permuted.matrix)))):
         raise ResidualTooLarge(
             f"basis-map and permutation constructions disagree by {drift:.3e}"
@@ -366,7 +351,7 @@ def n_operators(theta: SuperchannelChoi, tol: float = DEFAULT_ATOL,
     The count equals the numeric rank of the Choi operator.  Raises
     ``NotPSD`` when the operator is not positive semidefinite at ``tol``.
     """
-    as_bipartite = ChoiRep(theta.op, ("A1", "A2"), ("B1", "B2"))
+    as_bipartite = ChoiRep(theta.op, CHOI_ORDER[:2], CHOI_ORDER[2:])
     kr = kraus_from_choi(as_bipartite, tol=tol, rank_rtol=rank_rtol)
     n_ops = kr.ops
     q_ops = tuple(partial_mat(n, "B1") for n in n_ops)
@@ -386,11 +371,18 @@ def _aligned_choi_matrix(family: SuperKrausFamily, e: ChoiRep) -> np.ndarray:
 
 def kraus_apply(family: SuperKrausFamily, e: ChoiRep) -> ChoiRep:
     """Output Choi operator as sum_i K_i J K_i† in the (B1, A2) layout."""
-    j = _aligned_choi_matrix(family, e)
+    out = apply_channel(KrausRep(family.k_ops), _aligned_choi_matrix(family, e))
+    return ChoiRep(out, ("A1",), ("B2",))
+
+
+def _state_and_choi(family: SuperKrausFamily, e: ChoiRep,
+                    rho: np.ndarray) -> np.ndarray:
+    """Operand rho ⊗ J in the (B1, A1, A2) layout: rho on A1, J on (B1, A2)."""
     d = family.dims
-    acc = sum(k.matrix @ j @ k.matrix.conj().T for k in family.k_ops)
-    systems = SystemList([("A1", d.a1), ("B2", d.b2)])
-    return ChoiRep(LabeledOperator(acc, systems, systems), ("A1",), ("B2",))
+    t = _aligned_choi_matrix(family, e).reshape(d.b1, d.a2, d.b1, d.a2)
+    return np.einsum("ac,bpdq->bapdcq", np.asarray(rho), t).reshape(
+        d.b1 * d.a1 * d.a2, d.b1 * d.a1 * d.a2
+    )
 
 
 def q_apply_to_state(family: SuperKrausFamily, e: ChoiRep,
@@ -400,14 +392,8 @@ def q_apply_to_state(family: SuperKrausFamily, e: ChoiRep,
     Here the state enters untransposed: the A1 leg of each Q operator came
     from the column side of N_i, so the transpose is already built in.
     """
-    j = _aligned_choi_matrix(family, e)
-    d = family.dims
-    # operand on (B1, A1, A2): rho sits on A1, the channel Choi on (B1, A2)
-    t = j.reshape(d.b1, d.a2, d.b1, d.a2)
-    big = np.einsum("ac,bpdq->bapdcq", np.asarray(rho), t).reshape(
-        d.b1 * d.a1 * d.a2, d.b1 * d.a1 * d.a2
-    )
-    return sum(q.matrix @ big @ q.matrix.conj().T for q in family.q_ops)
+    big = _state_and_choi(family, e, rho)
+    return apply_channel(KrausRep(family.q_ops), big).matrix
 
 
 def super_stinespring(family: SuperKrausFamily,
@@ -430,16 +416,13 @@ def super_stinespring(family: SuperKrausFamily,
 def stinespring_apply_to_state(v_s: LabeledOperator, family: SuperKrausFamily,
                                e: ChoiRep, rho: np.ndarray) -> np.ndarray:
     """Output state Tr_E[V (rho ⊗ J) V†] for the dilation operator."""
-    j = _aligned_choi_matrix(family, e)
-    d = family.dims
-    t = j.reshape(d.b1, d.a2, d.b1, d.a2)
-    big = np.einsum("ac,bpdq->bapdcq", np.asarray(rho), t).reshape(
-        d.b1 * d.a1 * d.a2, d.b1 * d.a1 * d.a2
-    )
-    lifted = LabeledOperator(
-        v_s.matrix @ big @ v_s.matrix.conj().T, v_s.out_systems, v_s.out_systems
-    )
-    return partial_trace(lifted, [v_s.out_systems.labels[-1]]).matrix
+    big = _state_and_choi(family, e, rho)
+    rep = StinespringRep(v_s, v_s.out_systems.labels[-1])
+    return apply_channel(rep, big).matrix
+
+
+def _with_copies(systems: SystemList) -> SystemList:
+    return SystemList([(s.label + "~", s.dim) for s in systems] + list(systems))
 
 
 def super_liouville(family: SuperKrausFamily) -> LabeledOperator:
@@ -448,28 +431,19 @@ def super_liouville(family: SuperKrausFamily) -> LabeledOperator:
     ``K @ vec(J_in) = vec(J_out)`` under the package vec convention, with the
     column-copy legs listed first (suffix ``~``).
     """
-    d = family.dims
-    k = sum(np.kron(op.matrix.conj(), op.matrix) for op in family.k_ops)
-    in_sys = SystemList(
-        [("B1~", d.b1), ("A2~", d.a2), ("B1", d.b1), ("A2", d.a2)]
+    rep = liouville_from_kraus(KrausRep(family.k_ops))
+    return LabeledOperator(
+        rep.matrix, _with_copies(rep.in_systems), _with_copies(rep.out_systems)
     )
-    out_sys = SystemList(
-        [("A1~", d.a1), ("B2~", d.b2), ("A1", d.a1), ("B2", d.b2)]
-    )
-    return LabeledOperator(k, in_sys, out_sys)
 
 
 def liouville_apply(k: LabeledOperator, family: SuperKrausFamily,
                     e: ChoiRep) -> ChoiRep:
     """Apply the vectorized-Choi matrix and fold the result back."""
-    j = _aligned_choi_matrix(family, e)
-    d = family.dims
-    v = j.T.reshape(-1)
-    w = k.matrix @ v
-    d_out = d.a1 * d.b2
-    out = w.reshape(d_out, d_out).T
-    systems = SystemList([("A1", d.a1), ("B2", d.b2)])
-    return ChoiRep(LabeledOperator(out, systems, systems), ("A1",), ("B2",))
+    layout = family.k_ops[0]
+    rep = LiouvilleRep(k.matrix, layout.in_systems, layout.out_systems)
+    out = apply_channel(rep, _aligned_choi_matrix(family, e))
+    return ChoiRep(out, ("A1",), ("B2",))
 
 
 # ----------------------------------------------------------------------
@@ -623,9 +597,7 @@ def random_superchannel(dims: SuperchannelDims, memory_dim: int, seed,
     """
     if memory_dim < 1:
         raise DimensionMismatch(f"memory_dim must be >= 1, got {memory_dim}")
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator
-    ) else seed
+    rng = _rng(seed)
     d = dims
     pre_out = memory_dim * d.b1
     pre_rank = pre_rank if pre_rank is not None else min(2, d.a1 * pre_out)

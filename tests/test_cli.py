@@ -178,6 +178,18 @@ class TestRealizeAndMemory:
         code, _, _ = run(capsys, "realize", theta)
         assert code == 1
 
+    def test_realize_without_out_computes_nothing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        theta = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--seed", "47", "--out", theta)
+        calls = []
+        monkeypatch.setattr("superchan.cli.realize",
+                            lambda *args, **kwargs: calls.append(args))
+        code, _, err = run(capsys, "realize", theta)
+        assert code == 1
+        assert "--out" in err
+        assert calls == []
+
 
 class TestBreaking:
     def test_channel_verdicts(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Tests for superchannel validation, representations, and realization."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+from superchan import superchannels
 
 from superchan.channels import (
     ChoiRep,
@@ -9,6 +13,7 @@ from superchan.channels import (
     apply_channel,
     choi_from_kraus,
     compose_channels,
+    kraus_from_choi,
     random_channel,
     random_density_matrix,
     validate_channel,
@@ -16,8 +21,15 @@ from superchan.channels import (
 from superchan.errors import (
     DimensionMismatch,
     NotAValidSuperchannel,
+    ResidualTooLarge,
 )
-from superchan.operators import LabeledOperator, kron, partial_trace, vec
+from superchan.operators import (
+    LabeledOperator,
+    kron,
+    numeric_rank,
+    partial_trace,
+    vec,
+)
 from superchan.superchannels import (
     SuperchannelChoi,
     SuperchannelDims,
@@ -137,6 +149,14 @@ class TestFromPartsAndValidate:
         op = LabeledOperator((1 + eps) * theta - eps * mixer, systems, systems)
         report = validate_superchannel(op)
         assert not report.cp and report.tp and report.ns
+
+    def test_other_labels_without_dims_rejected(self):
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
+        systems = [("W", 2), ("X", 2), ("Y", 2), ("Z", 2)]
+        op = LabeledOperator(theta.op.matrix, systems, systems)
+        with pytest.raises(DimensionMismatch, match="'A1', 'A2', 'B1', 'B2'"):
+            validate_superchannel(op)
+        assert validate_superchannel(op, dims=QUBIT).valid
 
     def test_invalid_part_rejected(self):
         k = LabeledOperator(0.5 * np.eye(2), [("A1", 2)], [("E1", 1), ("B1", 2)])
@@ -260,6 +280,26 @@ class TestGour:
             g = gour_from_choi(theta)  # raises if the two paths disagree
             assert g.in_systems.labels == ("B1", "A2", "A1", "B2")
 
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        original = superchannels.apply_to_channel
+        calls = []
+
+        def perturbed(theta, e, **kwargs):
+            out = original(theta, e, **kwargs)
+            calls.append(e)
+            if len(calls) != 3:
+                return out
+            m = out.op.matrix.copy()
+            m[0, 0] += 1e-9
+            op = LabeledOperator(m, out.op.in_systems, out.op.out_systems)
+            return ChoiRep(op, out.input_labels, out.output_labels)
+
+        monkeypatch.setattr(superchannels, "apply_to_channel", perturbed)
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=3)
+        with pytest.raises(ResidualTooLarge):
+            gour_from_choi(theta)
+        assert len(calls) == 16
+
     def test_round_trip_exact(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=31)
         back = choi_from_gour(gour_from_choi(theta))
@@ -286,6 +326,15 @@ class TestOperatorFamily:
                 np.linalg.norm(rebuilt - theta.op.matrix)
                 <= 1e-10 * np.linalg.norm(theta.op.matrix)
             )
+
+    def test_rank_matches_numeric_rank(self):
+        # the rank counted on the spectrum equals the singular-value rank
+        for i, dims in enumerate(itertools.product((1, 2, 3), repeat=4)):
+            theta = random_superchannel(
+                SuperchannelDims(*dims), memory_dim=1 + i % 3, seed=700 + i
+            )
+            choi = ChoiRep(theta.op, ("A1", "A2"), ("B1", "B2"))
+            assert len(kraus_from_choi(choi)) == numeric_rank(theta.op), dims
 
     def test_q_completeness_relation(self):
         # Tr_B1[sum_i Q_i† Q_i] = identity on A1 A2
