@@ -19,10 +19,10 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _as_system_list,
+    _positions,
     mat,
     partial_trace,
     partial_transpose,
-    permute_systems,
     psd_decompose,
     vec,
 )
@@ -359,7 +359,9 @@ def link_product(m: LabeledOperator, n: LabeledOperator,
     Both operands must be square on every shared label.  By default the
     result carries m's remaining labels followed by n's remaining labels;
     ``out_order`` permutes the result (the operation itself is commutative
-    up to that relabeling).
+    up to that relabeling).  The contraction is one ``tensordot`` (a single
+    matrix product) followed by one transpose that also applies
+    ``out_order``; with no shared labels it is the Kronecker product.
     """
     shared = [l for l in m.in_systems.labels if l in n.in_systems.labels]
     for l in shared:
@@ -368,54 +370,37 @@ def link_product(m: LabeledOperator, n: LabeledOperator,
                 or n.out_systems.dim_of(l) != n.in_systems.dim_of(l)):
             raise DimensionMismatch(f"operands disagree on shared label {l!r}")
     # entry sum: result[(x,y),(x',y')] = sum_{c,c'} m[(x,c),(x',c')] n[(c,y),(c',y')]
-    n_m = len(m.out_systems) + len(m.in_systems)
-    m_subs = list(range(n_m))
-    next_idx = n_m
-    n_subs = []
-    for s in n.out_systems:
-        if s.label in shared:
-            n_subs.append(m_subs[m.out_systems.index(s.label)])
-        else:
-            n_subs.append(next_idx)
-            next_idx += 1
-    for s in n.in_systems:
-        if s.label in shared:
-            n_subs.append(m_subs[len(m.out_systems) + m.in_systems.index(s.label)])
-        else:
-            n_subs.append(next_idx)
-            next_idx += 1
-    m_keep_out = [
-        m_subs[i] for i, s in enumerate(m.out_systems) if s.label not in shared
-    ]
-    m_keep_in = [
-        m_subs[len(m.out_systems) + i]
-        for i, s in enumerate(m.in_systems)
-        if s.label not in shared
-    ]
-    n_keep_out = [
-        n_subs[i] for i, s in enumerate(n.out_systems) if s.label not in shared
-    ]
-    n_keep_in = [
-        n_subs[len(n.out_systems) + i]
-        for i, s in enumerate(n.in_systems)
-        if s.label not in shared
-    ]
-    out_subs = m_keep_out + n_keep_out + m_keep_in + n_keep_in
-    res = np.einsum(m.as_tensor(), m_subs, n.as_tensor(), n_subs, out_subs)
-    out_sys = SystemList(
-        [s for s in m.out_systems if s.label not in shared]
-        + [s for s in n.out_systems if s.label not in shared]
+    m_out, m_in, n_out, n_in = (
+        m.out_systems, m.in_systems, n.out_systems, n.in_systems
     )
-    in_sys = SystemList(
-        [s for s in m.in_systems if s.label not in shared]
-        + [s for s in n.in_systems if s.label not in shared]
-    )
-    result = LabeledOperator(
-        res.reshape(out_sys.total_dim, in_sys.total_dim), in_sys, out_sys
-    )
+    m_axes = [m_out.index(l) for l in shared] + [
+        len(m_out) + m_in.index(l) for l in shared
+    ]
+    n_axes = [n_out.index(l) for l in shared] + [
+        len(n_out) + n_in.index(l) for l in shared
+    ]
+    res = np.tensordot(m.as_tensor(), n.as_tensor(), axes=(m_axes, n_axes))
+    # the free axes of res are m's kept outputs, m's kept inputs, then n's
+    kept = [
+        [s for s in systems if s.label not in shared]
+        for systems in (m_out, m_in, n_out, n_in)
+    ]
+    free = iter(range(res.ndim))
+    mo, mi, no, ni = ([next(free) for _ in group] for group in kept)
+    out_axes, in_axes = mo + no, mi + ni
+    out_sys = SystemList(kept[0] + kept[2])
+    in_sys = SystemList(kept[1] + kept[3])
     if out_order is not None:
-        result = permute_systems(result, out_order, out_order)
-    return result
+        in_pos = _positions(in_sys, out_order, "inputs")
+        out_pos = _positions(out_sys, out_order, "outputs")
+        in_axes = [in_axes[i] for i in in_pos]
+        out_axes = [out_axes[i] for i in out_pos]
+        in_sys = SystemList([in_sys[i] for i in in_pos])
+        out_sys = SystemList([out_sys[i] for i in out_pos])
+    res = res.transpose(out_axes + in_axes).reshape(
+        out_sys.total_dim, in_sys.total_dim
+    )
+    return LabeledOperator(res, in_sys, out_sys)
 
 
 def compose_channels(e2: ChoiRep, e1: ChoiRep) -> ChoiRep:

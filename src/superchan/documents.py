@@ -43,7 +43,9 @@ KINDS = (
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ParseError(f"non-finite value {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    # "-0" would parse back as the integer 0 and lose the sign
+    return "-0.0" if text == "-0" else text
 
 
 def _emit(value, out: list):

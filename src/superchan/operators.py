@@ -413,24 +413,25 @@ def partial_transpose(op: LabeledOperator, labels) -> LabeledOperator:
     return LabeledOperator(m, op.in_systems, op.out_systems)
 
 
+def _positions(systems: SystemList, new, kind: str) -> list:
+    """Indices into ``systems`` of the labels ``new``; raises unless ``new``
+    is a permutation of the system labels."""
+    new = tuple(new)
+    if sorted(new) != sorted(systems.labels):
+        raise DimensionMismatch(
+            f"{new} is not a permutation of {kind} {systems.labels}"
+        )
+    return [systems.index(lbl) for lbl in new]
+
+
 def permute_systems(op: LabeledOperator, new_in, new_out) -> LabeledOperator:
     """Reorder the input and output system lists (pure reindexing)."""
-    new_in = tuple(new_in)
-    new_out = tuple(new_out)
-    if sorted(new_in) != sorted(op.in_systems.labels):
-        raise DimensionMismatch(
-            f"{new_in} is not a permutation of inputs {op.in_systems.labels}"
-        )
-    if sorted(new_out) != sorted(op.out_systems.labels):
-        raise DimensionMismatch(
-            f"{new_out} is not a permutation of outputs {op.out_systems.labels}"
-        )
+    in_pos = _positions(op.in_systems, new_in, "inputs")
+    out_pos = _positions(op.out_systems, new_out, "outputs")
     n_out = len(op.out_systems)
-    order = [op.out_systems.index(lbl) for lbl in new_out] + [
-        n_out + op.in_systems.index(lbl) for lbl in new_in
-    ]
-    out_sys = SystemList([op.out_systems[op.out_systems.index(l)] for l in new_out])
-    in_sys = SystemList([op.in_systems[op.in_systems.index(l)] for l in new_in])
+    order = out_pos + [n_out + i for i in in_pos]
+    out_sys = SystemList([op.out_systems[i] for i in out_pos])
+    in_sys = SystemList([op.in_systems[i] for i in in_pos])
     m = op.as_tensor().transpose(order).reshape(
         out_sys.total_dim, in_sys.total_dim
     )

@@ -37,6 +37,7 @@ from .operators import (
     DEFAULT_RANK_RTOL,
     LabeledOperator,
     SystemList,
+    gamma,
     identity_operator,
     kron,
     numeric_rank,
@@ -301,28 +302,34 @@ def gour_from_choi(theta: SuperchannelChoi,
                    cross_check_tol: float = 1e-12) -> LabeledOperator:
     """Operator on B1 ⊗ A2 ⊗ A1 ⊗ B2 built from the action on basis maps.
 
-    Computed two independent ways: writing the superchannel's image of each
-    matrix-unit map B1 -> A2 into its (B1, A2) block, and permuting the Choi
-    operator into the (B1, A2, A1, B2) order.  The two must agree;
-    disagreement is a hard internal error.
+    Computed two independent ways: through ``apply_to_channel`` on d_B1²
+    block probes, and by permuting the Choi operator into the
+    (B1, A2, A1, B2) order.  Probe (b, b') is the map B1 -> (R, A2) with
+    Choi operator |b><b'|_B1 ⊗ |Γ><Γ|_{R,A2}; the side output R carries the
+    A2 index through, so its image on (R, A1, B2) is the (b, b') block of
+    the basis-map operator.  The two must agree; disagreement is a hard
+    internal error.
     """
     d = theta.dims
     permuted = permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
 
-    n, m = d.b1 * d.a2, d.a1 * d.b2
-    in_sys = SystemList([("B1", d.b1), ("A2", d.a2)])
-    blocks = np.empty((n, m, n, m), dtype=np.complex128)
-    for row in range(n):
-        for col in range(n):
-            unit = np.zeros((n, n), dtype=np.complex128)
+    g = gamma(d.a2, ("R", "A2"))
+    loop = g @ g.adjoint()
+    b1 = SystemList([("B1", d.b1)])
+    side = d.a2 * d.a1 * d.b2
+    blocks = np.empty((d.b1, side, d.b1, side), dtype=np.complex128)
+    for row in range(d.b1):
+        for col in range(d.b1):
+            unit = np.zeros((d.b1, d.b1), dtype=np.complex128)
             unit[row, col] = 1.0
             probe = ChoiRep(
-                LabeledOperator(unit, in_sys, in_sys), ("B1",), ("A2",)
+                kron(LabeledOperator(unit, b1, b1), loop), ("B1",), ("R", "A2")
             )
-            blocks[row, :, col, :] = apply_to_channel(
-                theta, probe, validate_input=False
-            ).op.matrix
-    built = blocks.reshape(n * m, n * m)
+            image = apply_to_channel(theta, probe, validate_input=False).op
+            blocks[row, :, col, :] = permute_systems(
+                image, ("R", "A1", "B2"), ("R", "A1", "B2")
+            ).matrix
+    built = blocks.reshape(d.b1 * side, d.b1 * side)
     drift = float(np.max(np.abs(built - permuted.matrix)))
     if drift > cross_check_tol * max(1.0, float(np.max(np.abs(permuted.matrix)))):
         raise ResidualTooLarge(

@@ -1,5 +1,8 @@
 """Tests for channel representations, conversions, and the link product."""
 
+import itertools
+import string
+
 import numpy as np
 import pytest
 
@@ -284,6 +287,59 @@ class TestApply:
                     assert np.max(np.abs(o - outs[0])) <= 1e-10
 
 
+def reference_link(m, n, out_order=None):
+    """Entry sum result[(x,y),(x',y')] = sum_{c,c'} m[(x,c),(x',c')] n[(c,y),(c',y')],
+    written as one einsum over per-leg letters."""
+    shared = [l for l in m.in_systems.labels if l in n.in_systems.labels]
+    letters = iter(string.ascii_letters)
+    legs = {}
+
+    def subs(op, owner):
+        out = ""
+        for side, systems in (("out", op.out_systems), ("in", op.in_systems)):
+            for s in systems:
+                key = (side, s.label) if s.label in shared else (owner, side, s.label)
+                out += legs.setdefault(key, next(letters))
+        return out
+
+    m_subs, n_subs = subs(m, "m"), subs(n, "n")
+    kept = {
+        side: [
+            (owner, s)
+            for owner, op in (("m", m), ("n", n))
+            for s in getattr(op, f"{side}_systems")
+            if s.label not in shared
+        ]
+        for side in ("out", "in")
+    }
+    if out_order is not None:
+        for side in ("out", "in"):
+            by_label = {s.label: (owner, s) for owner, s in kept[side]}
+            kept[side] = [by_label[l] for l in out_order]
+    res_subs = "".join(
+        legs[(owner, side, s.label)] for side in ("out", "in") for owner, s in kept[side]
+    )
+    res = np.einsum(f"{m_subs},{n_subs}->{res_subs}", m.as_tensor(), n.as_tensor())
+    out_sys = [s for _, s in kept["out"]]
+    in_sys = [s for _, s in kept["in"]]
+    shape = (int(np.prod([s.dim for s in out_sys])), int(np.prod([s.dim for s in in_sys])))
+    return LabeledOperator(res.reshape(shape), in_sys, out_sys)
+
+
+def random_operator(rng, in_systems, out_systems):
+    d_in = int(np.prod([d for _, d in in_systems]))
+    d_out = int(np.prod([d for _, d in out_systems]))
+    g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
+    return LabeledOperator(g, in_systems, out_systems)
+
+
+def assert_close_rel(got, want, rtol=1e-13):
+    assert got.in_systems == want.in_systems
+    assert got.out_systems == want.out_systems
+    scale = float(np.max(np.abs(want.matrix)))
+    assert float(np.max(np.abs(got.matrix - want.matrix))) <= rtol * scale
+
+
 class TestLinkProduct:
     def test_born_rule(self):
         rng = np.random.default_rng(23)
@@ -323,6 +379,57 @@ class TestLinkProduct:
         b = identity_operator([("C", 3), ("B", 2)])
         with pytest.raises(DimensionMismatch):
             link_product(a, b)
+
+    # square operands with mixed and unit dims; the shared labels C and D
+    # sit in different positions on the two sides
+    MIXED_M = [("X", 2), ("C", 3), ("U", 1), ("D", 2)]
+    MIXED_N = [("D", 2), ("Y", 1), ("C", 3), ("Z", 3)]
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("X", "U", "Y", "Z")))
+    )
+    def test_matches_reference_every_out_order(self, order):
+        rng = np.random.default_rng(41)
+        m = random_operator(rng, self.MIXED_M, self.MIXED_M)
+        n = random_operator(rng, self.MIXED_N, self.MIXED_N)
+        assert_close_rel(link_product(m, n), reference_link(m, n))
+        assert_close_rel(
+            link_product(m, n, out_order=order), reference_link(m, n, order)
+        )
+
+    def test_matches_reference_non_square_legs(self):
+        # Kraus-like operands: inputs and outputs differ outside the shared C
+        for seed in range(5):
+            rng = np.random.default_rng(100 + seed)
+            m = random_operator(rng, [("A", 2), ("C", 3)], [("C", 3), ("B", 1), ("E", 4)])
+            n = random_operator(rng, [("F", 1), ("C", 3), ("G", 2)], [("H", 3), ("C", 3)])
+            got = link_product(m, n)
+            assert got.in_systems.labels == ("A", "F", "G")
+            assert got.out_systems.labels == ("B", "E", "H")
+            assert_close_rel(got, reference_link(m, n))
+
+    def test_no_shared_labels_is_kron(self):
+        rng = np.random.default_rng(43)
+        m = random_operator(rng, [("A", 2), ("U", 1)], [("B", 3)])
+        n = random_operator(rng, [("C", 3)], [("D", 1), ("E", 2)])
+        got = link_product(m, n)
+        want = LabeledOperator(
+            np.kron(m.matrix, n.matrix),
+            list(m.in_systems) + list(n.in_systems),
+            list(m.out_systems) + list(n.out_systems),
+        )
+        assert_close_rel(got, want)
+
+    @pytest.mark.parametrize(
+        "order",
+        [("X", "U", "Y"), ("X", "U", "Y", "Z", "Z"), ("X", "X", "Y", "Z"),
+         ("X", "U", "Y", "Q")],
+    )
+    def test_bad_out_order_raises_dimension_mismatch(self, order):
+        m = identity_operator(self.MIXED_M)
+        n = identity_operator(self.MIXED_N)
+        with pytest.raises(DimensionMismatch):
+            link_product(m, n, out_order=order)
 
 
 class TestCompose:

@@ -153,6 +153,20 @@ class TestDeterminism:
         save_document(load_document(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_signed_zeros_round_trip(self, tmp_path):
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(0.5, -0.0)]])
+        op = LabeledOperator(m, [("A", 2)], [("A", 2)])
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_document(op, p1)
+        save_document(op, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        loaded = load_document(p1).matrix
+        assert np.array_equal(np.signbit(loaded.real), np.signbit(m.real))
+        assert np.array_equal(np.signbit(loaded.imag), np.signbit(m.imag))
+        save_document(load_document(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_seventeen_digit_floats(self):
         op = LabeledOperator([[1 / 3]], [("A", 1)], [("A", 1)])
         blob = document_bytes(document_from_object(op)).decode()

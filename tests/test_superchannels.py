@@ -298,7 +298,45 @@ class TestGour:
         theta = random_superchannel(QUBIT, memory_dim=2, seed=3)
         with pytest.raises(ResidualTooLarge):
             gour_from_choi(theta)
-        assert len(calls) == 16
+        assert len(calls) == 4
+
+    def test_disagreeing_last_probe_raises(self, monkeypatch):
+        original = superchannels.apply_to_channel
+        calls = []
+
+        def perturbed(theta, e, **kwargs):
+            out = original(theta, e, **kwargs)
+            calls.append(e)
+            if len(calls) != theta.dims.b1 ** 2:
+                return out
+            m = out.op.matrix.copy()
+            m[-1, -1] += 1e-9
+            op = LabeledOperator(m, out.op.in_systems, out.op.out_systems)
+            return ChoiRep(op, out.input_labels, out.output_labels)
+
+        monkeypatch.setattr(superchannels, "apply_to_channel", perturbed)
+        theta = random_superchannel(SuperchannelDims(1, 2, 3, 2), memory_dim=2, seed=4)
+        with pytest.raises(ResidualTooLarge):
+            gour_from_choi(theta)
+        assert len(calls) == 9
+
+    def test_one_block_probe_per_b1_pair(self, monkeypatch):
+        # d_B1² calls to apply_to_channel, and the two routes agree exactly
+        original = superchannels.apply_to_channel
+        calls = []
+
+        def counted(theta, e, **kwargs):
+            calls.append(e)
+            return original(theta, e, **kwargs)
+
+        monkeypatch.setattr(superchannels, "apply_to_channel", counted)
+        for i, dims in enumerate(itertools.product((1, 2, 3), repeat=4)):
+            theta = random_superchannel(
+                SuperchannelDims(*dims), memory_dim=1 + i % 3, seed=900 + i
+            )
+            calls.clear()
+            gour_from_choi(theta, cross_check_tol=0.0)
+            assert len(calls) == dims[2] ** 2, dims
 
     def test_round_trip_exact(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=31)
