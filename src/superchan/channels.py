@@ -19,6 +19,7 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _as_system_list,
+    _hermitian_spectrum,
     _positions,
     mat,
     partial_trace,
@@ -287,11 +288,16 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
 # ----------------------------------------------------------------------
 
 def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL) -> ChannelValidityReport:
-    """CP/TP report with recomputable witnesses; never raises on bad input."""
+    """CP/TP report with recomputable witnesses; never raises on bad input.
+
+    ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``,
+    memoised on the Choi operator, so validating the same operator again
+    costs no further decomposition and gives the same report.
+    """
     j = c.op.matrix
     scale = max(1.0, float(np.linalg.norm(j)))
     hermitian = bool(np.linalg.norm(j - j.conj().T) <= tol * scale)
-    min_eig = float(np.min(np.linalg.eigvalsh((j + j.conj().T) / 2.0)))
+    min_eig = float(np.min(_hermitian_spectrum(c.op, vectors=False)))
     cp = hermitian and min_eig >= -tol
     marginal = partial_trace(c.op, c.output_labels).matrix
     tp_dev = float(np.linalg.norm(marginal - np.eye(c.d_in)))

@@ -13,7 +13,14 @@ Conventions used throughout the package:
   transpose) move entries without arithmetic, so round trips are bit exact.
 
 Values are immutable after construction and every operation is a pure
-function of its inputs.
+function of its inputs.  Because the matrix cannot change, each operator
+memoises the spectrum of its Hermitian part ``(M + M†)/2`` the first time it
+is asked for: the eigenvalues alone (``eigvalsh``, read by channel
+validation) and the full eigendecomposition (``eigh``, read by
+:func:`psd_decompose`) sit in two separate slots, so a caller that only
+validates never pays for eigenvectors.  A decomposed operator holds one extra
+n×n complex array until it is freed; every result is bit-identical to
+recomputing the spectrum.
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ class LabeledOperator:
     factor); inside one list labels are unique.
     """
 
-    __slots__ = ("_matrix", "_in", "_out")
+    __slots__ = ("_matrix", "_in", "_out", "_eigvalsh", "_eigh")
 
     def __init__(self, matrix, in_systems, out_systems):
         in_sys = _as_system_list(in_systems)
@@ -150,6 +157,8 @@ class LabeledOperator:
         object.__setattr__(self, "_matrix", arr)
         object.__setattr__(self, "_in", in_sys)
         object.__setattr__(self, "_out", out_sys)
+        object.__setattr__(self, "_eigvalsh", None)
+        object.__setattr__(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledOperator is immutable")
@@ -457,12 +466,41 @@ class SpectralDecomposition:
     clip_tol: float
 
 
+def _hermitian_spectrum(op, vectors: bool):
+    """Ascending ``eigvalsh`` (or ``eigh`` pair, with ``vectors``) of the
+    Hermitian part ``(M + M†)/2``, as read-only arrays.
+
+    A :class:`LabeledOperator` keeps the result in its slot for that kind and
+    returns it on later calls; a plain array is decomposed every time.
+    """
+    if isinstance(op, LabeledOperator):
+        slot = "_eigh" if vectors else "_eigvalsh"
+        spectrum = getattr(op, slot)
+        if spectrum is None:
+            spectrum = _hermitian_spectrum(op.matrix, vectors)
+            object.__setattr__(op, slot, spectrum)
+        return spectrum
+    m = np.asarray(op)
+    herm = (m + m.conj().T) / 2.0
+    if not vectors:
+        vals = np.linalg.eigvalsh(herm)
+        vals.setflags(write=False)
+        return vals
+    vals, vecs = np.linalg.eigh(herm)
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
+
+
 def psd_decompose(op, tol: float = DEFAULT_ATOL,
                   require_psd: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian (optionally PSD) operator.
 
     Raises ``NotHermitian`` when ``|M - M†|_F > tol * |M|_F`` and, with
     ``require_psd``, ``NotPSD`` when an eigenvalue falls below ``-tol``.
+    The ``eigh`` of ``(M + M†)/2`` is memoised on a ``LabeledOperator``;
+    the checks, clipping and phase fix run on every call, so the result is
+    the same as for ``op.matrix`` and does not depend on earlier calls.
     """
     m = op.matrix if isinstance(op, LabeledOperator) else np.asarray(op)
     if m.shape[0] != m.shape[1]:
@@ -471,7 +509,7 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
     herm_dev = np.linalg.norm(m - m.conj().T)
     if herm_dev > tol * max(scale, 1e-300) and scale > 0:
         raise NotHermitian(f"deviation {herm_dev:.3e} exceeds {tol:.1e} * |M|")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    vals, vecs = _hermitian_spectrum(op, vectors=True)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     if require_psd and len(vals) and vals[-1] < -tol:

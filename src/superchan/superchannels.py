@@ -159,7 +159,8 @@ class Realization:
 
     ``v`` maps A1 to E1 ⊗ B1 and ``w`` maps E1 ⊗ A2 to E2 ⊗ B2; the rebuilt
     superchannel matches the source within ``reconstruction_residual``
-    (relative Frobenius).
+    (relative Frobenius).  ``v_deviation`` and ``w_deviation`` are the
+    Frobenius norms of ``V†V - 1`` and ``W†W - 1``, the isometry witnesses.
     """
 
     v: LabeledOperator
@@ -167,6 +168,8 @@ class Realization:
     e1_dim: int
     e2_dim: int
     reconstruction_residual: float
+    v_deviation: float
+    w_deviation: float
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +310,8 @@ def gour_from_choi(theta: SuperchannelChoi,
     (B1, A2, A1, B2) order.  Probe (b, b') is the map B1 -> (R, A2) with
     Choi operator |b><b'|_B1 ⊗ |Γ><Γ|_{R,A2}; the side output R carries the
     A2 index through, so its image on (R, A1, B2) is the (b, b') block of
-    the basis-map operator.  The two must agree; disagreement is a hard
-    internal error.
+    the basis-map operator, compared with the permuted block as soon as it
+    arrives.  The two must agree; disagreement is a hard internal error.
     """
     d = theta.dims
     permuted = permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
@@ -317,7 +320,8 @@ def gour_from_choi(theta: SuperchannelChoi,
     loop = g @ g.adjoint()
     b1 = SystemList([("B1", d.b1)])
     side = d.a2 * d.a1 * d.b2
-    blocks = np.empty((d.b1, side, d.b1, side), dtype=np.complex128)
+    expected = permuted.matrix.reshape(d.b1, side, d.b1, side)
+    drift = 0.0
     for row in range(d.b1):
         for col in range(d.b1):
             unit = np.zeros((d.b1, d.b1), dtype=np.complex128)
@@ -326,11 +330,13 @@ def gour_from_choi(theta: SuperchannelChoi,
                 kron(LabeledOperator(unit, b1, b1), loop), ("B1",), ("R", "A2")
             )
             image = apply_to_channel(theta, probe, validate_input=False).op
-            blocks[row, :, col, :] = permute_systems(
+            block = permute_systems(
                 image, ("R", "A1", "B2"), ("R", "A1", "B2")
             ).matrix
-    built = blocks.reshape(d.b1 * side, d.b1 * side)
-    drift = float(np.max(np.abs(built - permuted.matrix)))
+            drift = np.maximum(
+                drift, np.max(np.abs(block - expected[row, :, col, :]))
+            )
+    drift = float(drift)
     if drift > cross_check_tol * max(1.0, float(np.max(np.abs(permuted.matrix)))):
         raise ResidualTooLarge(
             f"basis-map and permutation constructions disagree by {drift:.3e}"
@@ -559,10 +565,10 @@ def realize(theta: SuperchannelChoi, tol: float = 1e-8,
         w, [("E1", e1), ("A2", d.a2)], [("E2", e2), ("B2", d.b2)]
     )
 
-    iso_dev = float(np.linalg.norm(w.conj().T @ w - np.eye(e1 * d.a2)))
-    if iso_dev > tol * max(1.0, e1 * d.a2):
+    w_dev = float(np.linalg.norm(w.conj().T @ w - np.eye(e1 * d.a2)))
+    if w_dev > tol * max(1.0, e1 * d.a2):
         raise ResidualTooLarge(
-            f"post-processing map deviates from an isometry by {iso_dev:.3e}"
+            f"post-processing map deviates from an isometry by {w_dev:.3e}"
         )
 
     pre_choi = choi_from_kraus(KrausRep((v_op,)))
@@ -586,7 +592,8 @@ def realize(theta: SuperchannelChoi, tol: float = 1e-8,
             f"rebuilt superchannel deviates by relative residual {residual:.3e}"
         )
     return Realization(
-        v=v_op, w=w_op, e1_dim=e1, e2_dim=e2, reconstruction_residual=residual
+        v=v_op, w=w_op, e1_dim=e1, e2_dim=e2, reconstruction_residual=residual,
+        v_deviation=v_dev, w_deviation=w_dev,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from superchan.channels import ChoiRep, choi_from_kraus, random_channel, validate_channel
 from superchan.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -12,6 +13,7 @@ from superchan.errors import (
 from superchan.operators import (
     LabeledOperator,
     SystemList,
+    _hermitian_spectrum,
     gamma,
     identity_operator,
     kron,
@@ -465,6 +467,57 @@ class TestSpectral:
     def test_small_negative_clipped(self):
         dec = psd_decompose(np.diag([1.0, -1e-12]), tol=1e-9)
         assert dec.eigenvalues[-1] == 0.0
+
+
+class TestSpectrumMemo:
+    """The memoised Hermitian spectrum never changes what callers see."""
+
+    @staticmethod
+    def channel_matrix(seed):
+        c = choi_from_kraus(random_channel(2, 3, 2, seed))
+        return np.array(c.op.matrix), c.op.in_systems
+
+    def test_input_mutation_does_not_leak(self):
+        m, systems = self.channel_matrix(40)
+        saved = m.copy()
+        op = LabeledOperator(m, systems, systems)
+        m[0, 0] = -5.0
+        m[1, 2] += 3j
+        assert np.array_equal(op.matrix, saved)
+        report = validate_channel(ChoiRep(op, ("A",), ("B",)))
+        fresh = LabeledOperator(saved, systems, systems)
+        assert report == validate_channel(ChoiRep(fresh, ("A",), ("B",)))
+        assert report.valid
+
+    def test_memoised_arrays_read_only(self):
+        m, systems = self.channel_matrix(41)
+        op = LabeledOperator(m, systems, systems)
+        vals = _hermitian_spectrum(op, vectors=False)
+        eig_vals, eig_vecs = _hermitian_spectrum(op, vectors=True)
+        for arr in (vals, eig_vals, eig_vecs):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert _hermitian_spectrum(op, vectors=False) is vals
+        assert _hermitian_spectrum(op, vectors=True)[1] is eig_vecs
+
+    def test_labeled_and_plain_inputs_agree_bytewise(self):
+        rng = np.random.default_rng(42)
+        for d in (1, 3, 6):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            op = LabeledOperator(g @ g.conj().T, [("A", d)], [("A", d)])
+            plain = psd_decompose(op.matrix)
+            for dec in (psd_decompose(op), psd_decompose(op)):
+                assert dec.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+                assert dec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
+
+    def test_tol_checks_run_on_every_call(self):
+        op = LabeledOperator(np.diag([1.0, -1e-6]), [("A", 2)], [("A", 2)])
+        dec = psd_decompose(op, tol=1e-9, require_psd=False)
+        assert dec.eigenvalues[-1] == -1e-6
+        with pytest.raises(NotPSD):
+            psd_decompose(op, tol=1e-9)
+        assert psd_decompose(op, tol=1e-5).eigenvalues[-1] == 0.0
+        assert dec.eigenvalues[-1] == -1e-6
 
 
 class TestNumericRank:

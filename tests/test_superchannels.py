@@ -7,6 +7,7 @@ import pytest
 
 from superchan import superchannels
 
+from superchan.breaking import superchannel_breaking_report
 from superchan.channels import (
     ChoiRep,
     KrausRep,
@@ -598,6 +599,56 @@ class TestRealize:
         bogus = LabeledOperator(np.eye(16), systems, systems)
         with pytest.raises(NotAValidSuperchannel):
             realize(SuperchannelChoi(bogus))
+
+    def test_isometry_deviations_reported(self):
+        tol = 1e-8
+        for dims in ((2, 2, 2, 2), (1, 2, 3, 2), (3, 2, 1, 3)):
+            d = SuperchannelDims(*dims)
+            r = realize(random_superchannel(d, memory_dim=2, seed=7), tol=tol)
+            v, w = r.v.matrix, r.w.matrix
+            v_dev = np.linalg.norm(v.conj().T @ v - np.eye(d.a1))
+            w_dev = np.linalg.norm(w.conj().T @ w - np.eye(r.e1_dim * d.a2))
+            assert r.v_deviation == v_dev
+            assert r.w_deviation == w_dev
+            assert r.v_deviation <= tol * max(1.0, d.a1)
+            assert r.w_deviation <= tol * max(1.0, r.e1_dim * d.a2)
+
+
+class TestSpectrumReuse:
+    """One eigh and one eigvalsh per superchannel Choi operator."""
+
+    def test_call_counts_on_public_chain(self, monkeypatch):
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                if np.shape(a) == (81, 81):
+                    calls[_name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert validate_superchannel(theta).valid
+        memory_cost(theta)
+        realize(theta)
+        superchannel_breaking_report(theta)
+        # eigvalsh: validation once, plus the two PPT cuts
+        assert calls == {"eigh": 1, "eigvalsh": 3}
+
+    def test_report_independent_of_call_order(self):
+        theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=5)
+        n_operators(theta)
+        after = validate_superchannel(theta)
+        fresh = SuperchannelChoi(
+            LabeledOperator(np.array(theta.op.matrix), theta.op.in_systems,
+                            theta.op.out_systems)
+        )
+        assert after == validate_superchannel(fresh)
+        family = n_operators(fresh)
+        again = n_operators(theta)
+        for a, b in zip(family.n_ops, again.n_ops, strict=True):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 class TestRandomSuperchannel:
