@@ -294,11 +294,10 @@ def _cmd_realize(args) -> int:
         f"wrote {v_path} and {w_path}",
     ]
     payload = {
-        "memory_dim": result.e1_dim,
-        "environment_dim": result.e2_dim,
+        "memory_dim": result.e1_dim, "environment_dim": result.e2_dim,
         "residual": result.reconstruction_residual,
-        "v_path": v_path,
-        "w_path": w_path,
+        "v_deviation": result.v_deviation, "w_deviation": result.w_deviation,
+        "v_path": v_path, "w_path": w_path,
     }
     _emit_report(lines, payload, args)
     return 0

@@ -12,15 +12,20 @@ Conventions used throughout the package:
 * All reindexing operations (vec/mat, partial variants, permutations, partial
   transpose) move entries without arithmetic, so round trips are bit exact.
 
-Values are immutable after construction and every operation is a pure
-function of its inputs.  Because the matrix cannot change, each operator
-memoises the spectrum of its Hermitian part ``(M + M†)/2`` the first time it
-is asked for: the eigenvalues alone (``eigvalsh``, read by channel
-validation) and the full eigendecomposition (``eigh``, read by
-:func:`psd_decompose`) sit in two separate slots, so a caller that only
-validates never pays for eigenvectors.  A decomposed operator holds one extra
-n×n complex array until it is freed; every result is bit-identical to
-recomputing the spectrum.
+Values are immutable and every operation is a pure function of its inputs,
+so each operator memoises the spectrum of its Hermitian part on first use.
+
+Tolerance policy (Frobenius norms).  Validity (``validate_*``): Hermiticity,
+TP and NS deviations are relative, within ``tol * max(1, ||J||)``
+(:func:`psd_decompose`: ``tol * ||M||``); the minimum eigenvalue is absolute,
+``>= -tol``.  Ranks (``kraus_from_choi``, :func:`numeric_rank`): a value
+counts above ``rank_rtol`` times the largest.  Memory rank (``memory_cost``,
+``realize``): the smallest rank whose cut, plus a bound on renormalising V,
+stays within ``REALIZE_TOL`` = 1e-8 of ||Θ||; ``rank_rtol`` only counts the
+post channel's Kraus operators, whose Choi operator is held to
+``validity_tol / w_e1``.  ``realize``'s self-check: residual relative to ||Θ||
+within ``tol``; ||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the
+dimension.
 """
 
 from __future__ import annotations
@@ -515,12 +520,12 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
     if require_psd and len(vals) and vals[-1] < -tol:
         raise NotPSD(f"minimum eigenvalue {vals[-1]:.3e} below -{tol:.1e}")
     vals[(vals >= -tol) & (vals < 0.0)] = 0.0
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            vecs[:, k] = col * phase.conjugate()
+    if len(vals):  # argmax needs a non-empty axis
+        above = np.abs(vecs) > tol
+        fixed = above.any(axis=0)
+        pivot = vecs[above.argmax(axis=0)[fixed], np.flatnonzero(fixed)]
+        # np.hypot, not np.abs: it rounds as the scalar modulus does
+        vecs[:, fixed] *= (pivot / np.hypot(pivot.real, pivot.imag)).conj()
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(vals, vecs, tol)

@@ -40,16 +40,16 @@ from .operators import (
     gamma,
     identity_operator,
     kron,
-    numeric_rank,
     partial_mat,
     partial_trace,
     partial_vec,
     permute_systems,
-    vec,
+    psd_decompose,
 )
 
 CHOI_ORDER = ("A1", "A2", "B1", "B2")
 GOUR_ORDER = ("B1", "A2", "A1", "B2")
+REALIZE_TOL = 1e-8  # realize's default tol, and the memory-rank budget
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,7 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
             f"post expects {post.in_systems.dims[0]}"
         )
     for rep, name in ((pre, "pre"), (post, "post")):
-        report = validate_channel(rep)
-        if not report.valid:
+        if not validate_channel(rep).valid:
             raise NotAValidSuperchannel(f"{name}-processing channel is invalid")
     p = pre.relabeled(
         dict(zip(pre.input_labels + pre.output_labels, ("A1", "E1", "B1")))
@@ -289,9 +288,7 @@ def apply_to_channel(theta: SuperchannelChoi, e: ChoiRep,
     if validate_input and not validate_channel(e, tol).valid:
         raise NotAValidSuperchannel("input channel fails the CP/TP check")
     aligned = _align_input_channel(theta, e)
-    pass_through = tuple(
-        l for l in aligned.output_labels if l not in ("A2",)
-    )
+    pass_through = tuple(l for l in aligned.output_labels if l != "A2")
     order = ("A1",) + pass_through + ("B2",)
     linked = link_product(theta.op, aligned.op, out_order=order)
     return ChoiRep(linked, ("A1",), pass_through + ("B2",))
@@ -491,109 +488,117 @@ def f_theta_channel(source, tol: float = DEFAULT_ATOL,
     return FThetaChannel(choi=choi, kraus=kraus.ops, rank=len(kraus))
 
 
+def _memory_split(theta: SuperchannelChoi, tol: float):
+    """The one memory-rank decision, on F's spectrum: (w, u, rot, e1).
+
+    ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
+    Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
+    (squared: the block norms with max(j, k) >= e) plus δ/(1 - δ), which
+    bounds making V exact when F's dropped weight is δ.  e1 is the smallest
+    rank costing at most ``REALIZE_TOL``; a zero eigenvalue is never kept.
+    """
+    d = theta.dims
+    n, m = d.a1 * d.b1, d.a2 * d.b2
+    dec = psd_decompose(partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2),
+                        tol=tol)
+    w, u = dec.eigenvalues, dec.eigenvectors
+    t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
+    rot = t.transpose(0, 2, 1, 3, 5, 7, 4, 6).copy().reshape(n, m * m * n)
+    half = u.conj().T @ rot
+    # the two scratch arrays of Θ's size are reused, not reallocated
+    np.matmul(half.reshape(n * m * m, n), u, out=rot.reshape(n * m * m, n))
+    parts = half.view(np.float64).reshape(n, m * m, 2 * n)
+    np.square(rot.view(np.float64).reshape(n, m * m, 2 * n), out=parts)
+    blocks = parts.sum(axis=1).reshape(n, n, 2).sum(axis=2)
+    shells = np.bincount(np.maximum(*np.indices((n, n))).ravel(),
+                         weights=blocks.ravel(), minlength=n)
+    rank = int(np.count_nonzero(w > 0.0))
+    tails = np.cumsum(shells[::-1])[::-1][1:rank] / shells.sum()
+    gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
+    cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
+    e1 = next((e for e in range(1, rank) if cost[e - 1] <= REALIZE_TOL), rank)
+    return w, u, rot.reshape(n, m, m, n), e1
+
+
 def memory_cost(theta: SuperchannelChoi,
                 rank_rtol: float = DEFAULT_RANK_RTOL,
                 tol: float = DEFAULT_ATOL) -> int:
     """Minimal dimension of the memory system in any sequential realization.
 
-    Computed along two routes that must agree: the rank of the traced-down
-    Choi operator of the adjoint action sum_i vec(K_i†) vec(K_i†)†, and the
-    rank of the effective pre-processing channel's Choi operator.
+    The rank of F = Tr_{A2B2} Θ / d_A2 as :func:`realize` cuts it, so
+    ``memory_cost(theta) == realize(theta).e1_dim``; ``rank_rtol`` is unused.
     """
     _require_valid(theta, tol)
-    family = n_operators(theta, tol=tol, rank_rtol=rank_rtol)
-    d = theta.dims
-    adjoint_systems = SystemList(
-        [("A1", d.a1), ("B2", d.b2), ("B1", d.b1), ("A2", d.a2)]
-    )
-    acc = np.zeros((d.total,) * 2, dtype=np.complex128)
-    for k in family.k_ops:
-        w = vec(k.adjoint()).matrix
-        acc += w @ w.conj().T
-    traced = partial_trace(
-        LabeledOperator(acc, adjoint_systems, adjoint_systems), ["A2", "B2"]
-    )
-    rank_adjoint = numeric_rank(traced, rank_rtol)
-    rank_marginal = f_theta_channel(theta, tol=tol, rank_rtol=rank_rtol).rank
-    if rank_adjoint != rank_marginal:
-        raise ResidualTooLarge(
-            f"memory-cost routes disagree: {rank_adjoint} vs {rank_marginal}"
-        )
-    return rank_marginal
+    return _memory_split(theta, tol)[3]
 
 
-def realize(theta: SuperchannelChoi, tol: float = 1e-8,
+def _nearest_isometry(m: np.ndarray) -> np.ndarray:
+    """M (M†M)^{-1/2}, the isometry closest to M, through its thin SVD."""
+    left, _, right = np.linalg.svd(m, full_matrices=False)
+    return left @ right
+
+
+def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
             rank_rtol: float = DEFAULT_RANK_RTOL,
             validity_tol: float = DEFAULT_ATOL) -> Realization:
     """Sequential realization with minimal memory.
 
-    The pre-isometry stacks the minimal Kraus operators of the effective
-    pre-processing channel; the post-isometry blocks are dual-basis
-    contractions of the K layouts against those operators.  Reconstruction
-    is verified: the rebuilt Choi operator must match within ``tol``
-    (relative Frobenius) and the post map must be an isometry, otherwise
-    ``ResidualTooLarge`` is raised.
+    With F = sum_j w_j |u_j><u_j| cut to e1 terms, Θ = (X ⊗ 1) C (X† ⊗ 1)
+    for X = [sqrt(w_j) u_j] and the post-processing Choi operator
+    C = w^{-1/2} Θ̃ w^{-1/2} on (E1, A2, B2), Θ̃ being Θ in F's eigenbasis.
+    V stacks the L_j = mat(X_j), W the Kraus operators of C (held to
+    ``validity_tol / w_e1``; ``rank_rtol`` counts them), each made an exact
+    isometry.  ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W
+    matches within ``tol`` (relative Frobenius) and V, W pass as isometries.
     """
     _require_valid(theta, validity_tol)
     d = theta.dims
-    family = n_operators(theta, tol=validity_tol, rank_rtol=rank_rtol)
-    f_theta = f_theta_channel(theta, tol=validity_tol, rank_rtol=rank_rtol)
-    l_ops = f_theta.kraus
-    e1 = len(l_ops)
-    e2 = len(family.n_ops)
+    w, u, rot, e1 = _memory_split(theta, validity_tol)
 
-    # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1
-    v = np.stack([l.matrix for l in l_ops]).reshape(e1 * d.b1, d.a1)
-    v_op = LabeledOperator(
-        v, [("A1", d.a1)], [("E1", e1), ("B1", d.b1)]
+    # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
+    x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
+    v = _nearest_isometry(x.transpose(2, 1, 0).reshape(e1 * d.b1, d.a1))
+    s = np.repeat(1.0 / np.sqrt(w[:e1]), d.a2 * d.b2)
+    c = rot[:e1, :, :, :e1].transpose(0, 1, 3, 2).reshape(s.size, s.size)
+    c = s[:, None] * c * s[None, :]
+    post_sys = SystemList([("E1", e1), ("A2", d.a2), ("B2", d.b2)])
+    post = kraus_from_choi(
+        ChoiRep(LabeledOperator((c + c.conj().T) / 2.0, post_sys, post_sys),
+                ("E1", "A2"), ("B2",)),
+        tol=validity_tol / w[e1 - 1], rank_rtol=rank_rtol,
     )
-    v_dev = float(np.linalg.norm(v.conj().T @ v - np.eye(d.a1)))
-    if v_dev > tol * max(1.0, d.a1):
-        raise ResidualTooLarge(
-            f"pre-processing map deviates from an isometry by {v_dev:.3e}"
-        )
-
-    # W blocks: T[i, j] = <L_j, K_i slice> / ||L_j||^2 over the (A1, B1) legs
-    lam = np.array([np.vdot(l.matrix, l.matrix).real for l in l_ops])
-    w = np.zeros((e2 * d.b2, e1 * d.a2), dtype=np.complex128)
-    for i, k_op in enumerate(family.k_ops):
-        kt = k_op.matrix.reshape(d.a1, d.b2, d.b1, d.a2)
-        for j, l_op in enumerate(l_ops):
-            t_ij = np.einsum("abcd,ca->bd", kt, l_op.matrix.conj()) / lam[j]
-            w[i * d.b2 : (i + 1) * d.b2, j * d.a2 : (j + 1) * d.a2] = t_ij
-    w_op = LabeledOperator(
-        w, [("E1", e1), ("A2", d.a2)], [("E2", e2), ("B2", d.b2)]
+    e2 = len(post)
+    w_mat = _nearest_isometry(
+        np.stack([k.matrix for k in post.ops]).reshape(e2 * d.b2, e1 * d.a2)
     )
 
-    w_dev = float(np.linalg.norm(w.conj().T @ w - np.eye(e1 * d.a2)))
-    if w_dev > tol * max(1.0, e1 * d.a2):
-        raise ResidualTooLarge(
-            f"post-processing map deviates from an isometry by {w_dev:.3e}"
-        )
-
-    pre_choi = choi_from_kraus(KrausRep((v_op,)))
-    post_kraus = KrausRep(
-        tuple(
-            LabeledOperator(
-                w[i * d.b2 : (i + 1) * d.b2, :],
-                [("E1", e1), ("A2", d.a2)],
-                [("B2", d.b2)],
+    devs = []
+    for name, iso in (("pre", v), ("post", w_mat)):
+        dev = float(np.linalg.norm(iso.conj().T @ iso - np.eye(iso.shape[1])))
+        if dev > tol * max(1.0, iso.shape[1]):
+            raise ResidualTooLarge(
+                f"{name}-processing map deviates from an isometry by {dev:.3e}"
             )
-            for i in range(e2)
-        )
-    )
-    rebuilt = superchannel_from_parts(pre_choi, choi_from_kraus(post_kraus))
-    residual = float(
-        np.linalg.norm(rebuilt.op.matrix - theta.op.matrix)
-        / max(np.linalg.norm(theta.op.matrix), 1e-300)
-    )
+        devs.append(dev)
+    v_op = LabeledOperator(v, [("A1", d.a1)], [("E1", e1), ("B1", d.b1)])
+    w_in = [("E1", e1), ("A2", d.a2)]
+    w_op = LabeledOperator(w_mat, w_in, [("E2", e2), ("B2", d.b2)])
+    post_choi = choi_from_kraus(KrausRep(tuple(
+        LabeledOperator(block, w_in, [("B2", d.b2)])
+        for block in w_mat.reshape(e2, d.b2, e1 * d.a2)
+    )))
+    rebuilt = link_product(choi_from_kraus(KrausRep((v_op,))).op,
+                           post_choi.op, out_order=CHOI_ORDER)
+    diff = rebuilt.matrix - theta.op.matrix
+    theta_sq = np.vdot(theta.op.matrix, theta.op.matrix).real
+    residual = float(np.sqrt(np.vdot(diff, diff).real / theta_sq))
     if residual > tol:
         raise ResidualTooLarge(
             f"rebuilt superchannel deviates by relative residual {residual:.3e}"
         )
     return Realization(
         v=v_op, w=w_op, e1_dim=e1, e2_dim=e2, reconstruction_residual=residual,
-        v_deviation=v_dev, w_deviation=w_dev,
+        v_deviation=devs[0], w_deviation=devs[1],
     )
 
 

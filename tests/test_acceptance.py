@@ -33,8 +33,10 @@ from superchan.channels import (
 )
 from superchan.operators import (
     LabeledOperator,
+    SystemList,
     identity_operator,
     mat,
+    numeric_rank,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -170,6 +172,29 @@ def oracle_memory_rank(theta: SuperchannelChoi, rtol: float = 1e-9) -> int:
                     traced[ia1 * b1 + ib1, ja1 * b1 + jb1] = total
     svals = np.linalg.svd(traced, compute_uv=False)
     return int(np.count_nonzero(svals > rtol * svals[0]))
+
+
+def oracle_adjoint_memory_rank(theta: SuperchannelChoi,
+                               rtol: float = 1e-9) -> int:
+    """Memory rank along the adjoint route, from the operator family.
+
+    The rank of Tr_{A2 B2} sum_i vec(K_i†) vec(K_i†)† over the K layouts of
+    the Choi operator's spectral family; independent of the (A1, B1)
+    marginal that ``memory_cost`` decides on.
+    """
+    family = n_operators(theta, rank_rtol=rtol)
+    d = theta.dims
+    adjoint_systems = SystemList(
+        [("A1", d.a1), ("B2", d.b2), ("B1", d.b1), ("A2", d.a2)]
+    )
+    acc = np.zeros((d.total,) * 2, dtype=np.complex128)
+    for k in family.k_ops:
+        w = vec(k.adjoint()).matrix
+        acc += w @ w.conj().T
+    traced = partial_trace(
+        LabeledOperator(acc, adjoint_systems, adjoint_systems), ["A2", "B2"]
+    )
+    return numeric_rank(traced, rtol)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from superchan.cli import main
 from superchan.documents import load_document, save_document
 from superchan.channels import ChoiRep, KrausRep, StinespringRep, LiouvilleRep
 from superchan.operators import LabeledOperator
-from superchan.superchannels import SuperchannelChoi
+from superchan.superchannels import SuperchannelChoi, realize
 
 
 def run(capsys, *argv):
@@ -161,6 +161,31 @@ class TestRealizeAndMemory:
         assert isinstance(v, LabeledOperator)
         assert v.in_systems.labels == ("A1",)
         assert w.out_systems.labels == ("E2", "B2")
+
+    def test_realize_reports_isometry_witnesses(self, tmp_path, capsys):
+        theta = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--seed", "41", "--out", theta)
+        want = realize(load_document(theta))
+        machine, text = str(tmp_path / "machine"), str(tmp_path / "text")
+        code, out, _ = run(capsys, "realize", theta, "--out", machine,
+                           "--format", "machine-readable")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["v_deviation"] == want.v_deviation
+        assert payload["w_deviation"] == want.w_deviation
+        # text output gains nothing, and both runs write the same documents
+        code, out, _ = run(capsys, "realize", theta, "--out", text)
+        assert code == 0
+        assert out.splitlines() == [
+            f"memory dimension: {want.e1_dim}",
+            f"environment dimension: {want.e2_dim}",
+            f"reconstruction residual: {want.reconstruction_residual:.3e}",
+            f"wrote {text}.V.json and {text}.W.json",
+        ]
+        for part in ("V", "W"):
+            with open(f"{machine}.{part}.json", "rb") as a, \
+                    open(f"{text}.{part}.json", "rb") as b:
+                assert a.read() == b.read()
 
     def test_memory_cost(self, tmp_path, capsys):
         theta = str(tmp_path / "theta.json")

@@ -1,5 +1,7 @@
 """Tests for labeled operators and the reindexing/spectral primitives."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -518,6 +520,41 @@ class TestSpectrumMemo:
             psd_decompose(op, tol=1e-9)
         assert psd_decompose(op, tol=1e-5).eigenvalues[-1] == 0.0
         assert dec.eigenvalues[-1] == -1e-6
+
+
+def loop_phase_fix(vecs, tol):
+    """Reference: the column-by-column phase fix psd_decompose once ran."""
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        idx = np.flatnonzero(np.abs(col) > tol)
+        if idx.size:
+            phase = col[idx[0]] / abs(col[idx[0]])
+            vecs[:, k] = col * phase.conjugate()
+    return vecs
+
+
+class TestPhaseFix:
+    """The vectorised phase fix is byte-identical to the column loop."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 81])
+    def test_matches_column_loop_bytewise(self, n):
+        rng = np.random.default_rng(500 + n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases = [g @ g.conj().T, (g @ g.conj().T).real + 0j,
+                 np.eye(n, dtype=complex)]
+        # 0.2 puts the first large entry below row 0 in most columns; at 1.0
+        # no entry qualifies and the columns are left as eigh returned them
+        for m, tol in itertools.product(cases, (1e-9, 0.2, 1.0)):
+            vecs = np.linalg.eigh((m + m.conj().T) / 2.0)[1][:, ::-1]
+            want = loop_phase_fix(vecs, tol)
+            got = psd_decompose(m, tol=tol, require_psd=False).eigenvectors
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_matrix(self):
+        dec = psd_decompose(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
 
 
 class TestNumericRank:
