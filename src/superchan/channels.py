@@ -327,24 +327,31 @@ def apply_channel(rep, rho) -> LabeledOperator:
 
     All four representations of one channel give the same output state.
     """
-    if not isinstance(rep, (ChoiRep, KrausRep, StinespringRep, LiouvilleRep)):
-        raise DimensionMismatch(f"not a channel representation: {type(rep)}")
-    state = _state_operator(rho, rep.in_systems)
     if isinstance(rep, ChoiRep):
+        state = _state_operator(rho, rep.in_systems)
         return link_product(state, rep.op, out_order=rep.output_labels)
     if isinstance(rep, KrausRep):
-        acc = sum(k.matrix @ state.matrix @ k.matrix.conj().T for k in rep.ops)
+        state = _state_operator(rho, rep.in_systems)
+        acc = sum(
+            k.matrix @ state.matrix @ k.matrix.conj().T for k in rep.ops
+        )
         return LabeledOperator(acc, rep.out_systems, rep.out_systems)
     if isinstance(rep, StinespringRep):
+        state = _state_operator(rho, rep.in_systems)
         big = LabeledOperator(
             rep.v.matrix @ state.matrix @ rep.v.matrix.conj().T,
             rep.v.out_systems,
             rep.v.out_systems,
         )
         return partial_trace(big, [rep.env_label])
-    d_out = rep.out_systems.total_dim  # LiouvilleRep: L vec(rho) = vec(out)
-    out = (rep.matrix @ state.matrix.T.reshape(-1)).reshape(d_out, d_out).T
-    return LabeledOperator(out, rep.out_systems, rep.out_systems)
+    if isinstance(rep, LiouvilleRep):
+        state = _state_operator(rho, rep.in_systems)
+        v = state.matrix.T.reshape(-1)
+        w = rep.matrix @ v
+        d_out = rep.out_systems.total_dim
+        out = w.reshape(d_out, d_out).T
+        return LabeledOperator(out, rep.out_systems, rep.out_systems)
+    raise DimensionMismatch(f"not a channel representation: {type(rep)}")
 
 
 # ----------------------------------------------------------------------

@@ -294,10 +294,13 @@ def _cmd_realize(args) -> int:
         f"wrote {v_path} and {w_path}",
     ]
     payload = {
-        "memory_dim": result.e1_dim, "environment_dim": result.e2_dim,
+        "memory_dim": result.e1_dim,
+        "environment_dim": result.e2_dim,
         "residual": result.reconstruction_residual,
-        "v_deviation": result.v_deviation, "w_deviation": result.w_deviation,
-        "v_path": v_path, "w_path": w_path,
+        "v_deviation": result.v_deviation,
+        "w_deviation": result.w_deviation,
+        "v_path": v_path,
+        "w_path": w_path,
     }
     _emit_report(lines, payload, args)
     return 0
@@ -305,7 +308,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_memory_cost(args) -> int:
     theta = _load_superchannel(args.theta)
-    cost = memory_cost(theta, rank_rtol=args.rank_rtol, tol=args.tol)
+    cost = memory_cost(theta, tol=args.tol)
     _emit_report([str(cost)], {"memory_cost": cost}, args)
     return 0
 

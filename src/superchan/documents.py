@@ -272,7 +272,9 @@ def _assemble(kind, systems, matrices):
     if kind == "operator":
         if len(matrices) != 1:
             raise ParseError("operator documents carry exactly one matrix")
-        return LabeledOperator(matrices[0], ins, outs)
+        out_sys = [(n, d) for n, d, role in systems if role == "output"]
+        in_sys = [(n, d) for n, d, role in systems if role == "input"]
+        return LabeledOperator(matrices[0], in_sys, out_sys)
     if kind == "gour":
         if len(matrices) != 1:
             raise ParseError("gour documents carry exactly one matrix")

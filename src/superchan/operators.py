@@ -12,20 +12,26 @@ Conventions used throughout the package:
 * All reindexing operations (vec/mat, partial variants, permutations, partial
   transpose) move entries without arithmetic, so round trips are bit exact.
 
-Values are immutable and every operation is a pure function of its inputs,
-so each operator memoises the spectrum of its Hermitian part on first use.
+Values are immutable after construction and every operation is a pure
+function of its inputs.  Because the matrix cannot change, each operator
+memoises the spectrum of its Hermitian part ``(M + M†)/2`` the first time it
+is asked for: the eigenvalues alone (``eigvalsh``, read by channel
+validation) and the full eigendecomposition (``eigh``, read by
+:func:`psd_decompose`) sit in two separate slots, so a caller that only
+validates never pays for eigenvectors.  A decomposed operator holds one extra
+n×n complex array until it is freed; every result is bit-identical to
+recomputing the spectrum.
 
 Tolerance policy (Frobenius norms).  Validity (``validate_*``): Hermiticity,
 TP and NS deviations are relative, within ``tol * max(1, ||J||)``
 (:func:`psd_decompose`: ``tol * ||M||``); the minimum eigenvalue is absolute,
 ``>= -tol``.  Ranks (``kraus_from_choi``, :func:`numeric_rank`): a value
-counts above ``rank_rtol`` times the largest.  Memory rank (``memory_cost``,
-``realize``): the smallest rank whose cut, plus a bound on renormalising V,
-stays within ``REALIZE_TOL`` = 1e-8 of ||Θ||; ``rank_rtol`` only counts the
-post channel's Kraus operators, whose Choi operator is held to
-``validity_tol / w_e1``.  ``realize``'s self-check: residual relative to ||Θ||
-within ``tol``; ||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the
-dimension.
+counts above ``rank_rtol`` times the largest.  Memory rank e1: the smallest
+rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
+``tol`` of ||Θ|| (``memory_cost``: its default, 1e-8).  Environment rank e2:
+the Kraus operators of Θ's kept block, counted with ``rank_rtol``.
+``realize``'s self-check: residual relative to ||Θ|| within ``tol``;
+||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the dimension.
 """
 
 from __future__ import annotations

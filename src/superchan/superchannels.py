@@ -193,7 +193,8 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
             f"post expects {post.in_systems.dims[0]}"
         )
     for rep, name in ((pre, "pre"), (post, "post")):
-        if not validate_channel(rep).valid:
+        report = validate_channel(rep)
+        if not report.valid:
             raise NotAValidSuperchannel(f"{name}-processing channel is invalid")
     p = pre.relabeled(
         dict(zip(pre.input_labels + pre.output_labels, ("A1", "E1", "B1")))
@@ -288,7 +289,9 @@ def apply_to_channel(theta: SuperchannelChoi, e: ChoiRep,
     if validate_input and not validate_channel(e, tol).valid:
         raise NotAValidSuperchannel("input channel fails the CP/TP check")
     aligned = _align_input_channel(theta, e)
-    pass_through = tuple(l for l in aligned.output_labels if l != "A2")
+    pass_through = tuple(
+        l for l in aligned.output_labels if l not in ("A2",)
+    )
     order = ("A1",) + pass_through + ("B2",)
     linked = link_product(theta.op, aligned.op, out_order=order)
     return ChoiRep(linked, ("A1",), pass_through + ("B2",))
@@ -488,14 +491,14 @@ def f_theta_channel(source, tol: float = DEFAULT_ATOL,
     return FThetaChannel(choi=choi, kraus=kraus.ops, rank=len(kraus))
 
 
-def _memory_split(theta: SuperchannelChoi, tol: float):
+def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
     """The one memory-rank decision, on F's spectrum: (w, u, rot, e1).
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
     (squared: the block norms with max(j, k) >= e) plus δ/(1 - δ), which
     bounds making V exact when F's dropped weight is δ.  e1 is the smallest
-    rank costing at most ``REALIZE_TOL``; a zero eigenvalue is never kept.
+    rank costing at most ``budget``; a zero eigenvalue is never kept.
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
@@ -503,12 +506,10 @@ def _memory_split(theta: SuperchannelChoi, tol: float):
                         tol=tol)
     w, u = dec.eigenvalues, dec.eigenvectors
     t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
-    rot = t.transpose(0, 2, 1, 3, 5, 7, 4, 6).copy().reshape(n, m * m * n)
-    half = u.conj().T @ rot
-    # the two scratch arrays of Θ's size are reused, not reallocated
-    np.matmul(half.reshape(n * m * m, n), u, out=rot.reshape(n * m * m, n))
-    parts = half.view(np.float64).reshape(n, m * m, 2 * n)
-    np.square(rot.view(np.float64).reshape(n, m * m, 2 * n), out=parts)
+    half = u.conj().T @ t.transpose(0, 2, 1, 3, 5, 7, 4, 6).reshape(n, -1)
+    rot = half.reshape(n * m * m, n) @ u
+    # squared moduli summed per (j, k) block, on the float view of rot
+    parts = np.square(rot.view(np.float64)).reshape(n, m * m, 2 * n)
     blocks = parts.sum(axis=1).reshape(n, n, 2).sum(axis=2)
     shells = np.bincount(np.maximum(*np.indices((n, n))).ravel(),
                          weights=blocks.ravel(), minlength=n)
@@ -516,20 +517,18 @@ def _memory_split(theta: SuperchannelChoi, tol: float):
     tails = np.cumsum(shells[::-1])[::-1][1:rank] / shells.sum()
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
-    e1 = next((e for e in range(1, rank) if cost[e - 1] <= REALIZE_TOL), rank)
+    e1 = next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
     return w, u, rot.reshape(n, m, m, n), e1
 
 
-def memory_cost(theta: SuperchannelChoi,
-                rank_rtol: float = DEFAULT_RANK_RTOL,
-                tol: float = DEFAULT_ATOL) -> int:
+def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
     """Minimal dimension of the memory system in any sequential realization.
 
-    The rank of F = Tr_{A2B2} Θ / d_A2 as :func:`realize` cuts it, so
-    ``memory_cost(theta) == realize(theta).e1_dim``; ``rank_rtol`` is unused.
+    The rank of F = Tr_{A2B2} Θ / d_A2 as :func:`realize` cuts it at its
+    default ``tol``, so ``memory_cost(theta) == realize(theta).e1_dim``.
     """
     _require_valid(theta, tol)
-    return _memory_split(theta, tol)[3]
+    return _memory_split(theta, REALIZE_TOL, tol)[3]
 
 
 def _nearest_isometry(m: np.ndarray) -> np.ndarray:
@@ -545,31 +544,35 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
 
     With F = sum_j w_j |u_j><u_j| cut to e1 terms, Θ = (X ⊗ 1) C (X† ⊗ 1)
     for X = [sqrt(w_j) u_j] and the post-processing Choi operator
-    C = w^{-1/2} Θ̃ w^{-1/2} on (E1, A2, B2), Θ̃ being Θ in F's eigenbasis.
-    V stacks the L_j = mat(X_j), W the Kraus operators of C (held to
-    ``validity_tol / w_e1``; ``rank_rtol`` counts them), each made an exact
-    isometry.  ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W
-    matches within ``tol`` (relative Frobenius) and V, W pass as isometries.
+    C = w^{-1/2} B w^{-1/2} on (E1, A2, B2), B being the kept block of Θ in
+    F's eigenbasis; e1 is the smallest rank whose cut costs at most ``tol``.
+    V stacks the L_j = mat(X_j); W stacks the Kraus operators of B, counted
+    with ``rank_rtol`` and scaled by w^{-1/2} on E1 (those of C, as the
+    scaling is a congruence), each made an exact isometry.  A ``tol`` below
+    ``rank_rtol`` needs a smaller ``rank_rtol`` too, or a kept direction of F
+    whose part of Θ falls below it gets no Kraus operator.
+    ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W matches
+    within ``tol`` (relative Frobenius) and V, W pass as isometries.
     """
     _require_valid(theta, validity_tol)
     d = theta.dims
-    w, u, rot, e1 = _memory_split(theta, validity_tol)
+    w, u, rot, e1 = _memory_split(theta, tol, validity_tol)
 
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     v = _nearest_isometry(x.transpose(2, 1, 0).reshape(e1 * d.b1, d.a1))
-    s = np.repeat(1.0 / np.sqrt(w[:e1]), d.a2 * d.b2)
-    c = rot[:e1, :, :, :e1].transpose(0, 1, 3, 2).reshape(s.size, s.size)
-    c = s[:, None] * c * s[None, :]
+    b = rot[:e1, :, :, :e1].transpose(0, 1, 3, 2)
+    b = b.reshape(e1 * d.a2 * d.b2, e1 * d.a2 * d.b2)
     post_sys = SystemList([("E1", e1), ("A2", d.a2), ("B2", d.b2)])
     post = kraus_from_choi(
-        ChoiRep(LabeledOperator((c + c.conj().T) / 2.0, post_sys, post_sys),
+        ChoiRep(LabeledOperator((b + b.conj().T) / 2.0, post_sys, post_sys),
                 ("E1", "A2"), ("B2",)),
-        tol=validity_tol / w[e1 - 1], rank_rtol=rank_rtol,
+        tol=validity_tol, rank_rtol=rank_rtol,
     )
     e2 = len(post)
+    s = np.repeat(1.0 / np.sqrt(w[:e1]), d.a2)
     w_mat = _nearest_isometry(
-        np.stack([k.matrix for k in post.ops]).reshape(e2 * d.b2, e1 * d.a2)
+        np.stack([k.matrix * s for k in post.ops]).reshape(e2 * d.b2, -1)
     )
 
     devs = []

@@ -10,7 +10,8 @@ brute-force memory rank of criterion 06 and the adjoint route that
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchan.operators import numeric_rank
+from superchan.channels import KrausRep, choi_from_kraus
+from superchan.operators import LabeledOperator, numeric_rank
 from superchan.superchannels import (
     REALIZE_TOL,
     SuperchannelChoi,
@@ -18,6 +19,7 @@ from superchan.superchannels import (
     memory_cost,
     random_superchannel,
     realize,
+    superchannel_from_parts,
     validate_superchannel,
 )
 
@@ -34,6 +36,18 @@ NEAR_CUTOFF_EPS = [m * 10.0 ** k for k in range(-14, -4) for m in (1, 3)] + [1e-
 
 def mixture(a: SuperchannelChoi, b: SuperchannelChoi, eps: float):
     return SuperchannelChoi((1.0 - eps) * a.op + eps * b.op)
+
+
+def rebuilt(r) -> SuperchannelChoi:
+    """The superchannel that the realization's V and W compose to."""
+    w = r.w.matrix
+    d_b2 = w.shape[0] // r.e2_dim
+    post = KrausRep(tuple(
+        LabeledOperator(block, r.w.in_systems, [("B2", d_b2)])
+        for block in w.reshape(r.e2_dim, d_b2, w.shape[1])
+    ))
+    return superchannel_from_parts(choi_from_kraus(KrausRep((r.v,))),
+                                   choi_from_kraus(post))
 
 
 def assert_realized(theta: SuperchannelChoi):
@@ -66,19 +80,44 @@ def test_validation_implies_realization(dims, memory, seeds, log_eps):
     assert_realized(mixture(a, b, 10.0 ** log_eps))
 
 
-@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
-def test_near_cutoff_grid(eps):
+def near_cutoff(eps: float) -> SuperchannelChoi:
     a = random_superchannel(QUBIT, 1, seed=83, pre_rank=1)
     b = random_superchannel(QUBIT, 2, seed=5)
-    r = assert_realized(mixture(a, b, eps))
+    return mixture(a, b, eps)
+
+
+@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+def test_near_cutoff_grid(eps):
+    theta = near_cutoff(eps)
+    r = assert_realized(theta)
     # a tail of weight eps is cut while it costs less than the tolerance;
-    # from 1e-7 on it is kept, at the rank of the exact marginal.  From 3e-8
-    # on, kept eigenvalues of F reach 1e-8, so C carries rounding of order
-    # 1e-16 / 1e-8: it passes only because it is held to validity_tol / w_e1
+    # from 1e-7 on it is kept, at the rank of the exact marginal
     if eps <= 1e-9:
         assert r.e1_dim == 1
     if eps >= 1e-7:
         assert r.e1_dim == 4
+    # e2 is the rank of the realized operator, never rounding noise of the
+    # w^{-1/2} scaling; only at 3e-9 and 1e-8 does the cut drop eigenvalues
+    # of Θ above rank_rtol, leaving a realized operator of lower rank
+    assert r.e2_dim == numeric_rank(rebuilt(r).op)
+    if eps <= 1e-9 or eps >= 3e-8:
+        assert r.e2_dim == numeric_rank(theta.op)
+
+
+@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+def test_near_cutoff_grid_at_smaller_tol(eps):
+    # the caller's tol is the cut's budget: where the default cut costs more
+    # than 1e-10, realize keeps more of F instead of failing the residual
+    theta = near_cutoff(eps)
+    r = realize(theta, tol=1e-10, rank_rtol=1e-12)
+    assert r.reconstruction_residual <= 1e-10
+    assert r.v_deviation <= 1e-12 and r.w_deviation <= 1e-12
+    assert r.e2_dim == numeric_rank(rebuilt(r).op, 1e-12)
+    default = realize(theta)
+    if default.reconstruction_residual > 1e-10:
+        assert r.e1_dim > default.e1_dim
+    else:
+        assert r.e1_dim == default.e1_dim
 
 
 def test_tiny_eigenvalue_kept_when_its_tail_costs_more_than_tol():
