@@ -48,6 +48,7 @@ from .channels import (
 from .documents import document_bytes, document_from_object, load_document, save_document
 from .operators import LabeledOperator
 from .superchannels import (
+    REALIZE_TOL,
     SuperchannelChoi,
     SuperchannelDims,
     apply_to_channel,
@@ -84,13 +85,16 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-9,
                    help="validity tolerance (default 1e-9)")
-    p.add_argument("--rank-rtol", type=float, default=1e-9,
-                   help="relative rank cutoff (default 1e-9)")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out", default=None,
                    help="output path ('-' or omitted: stdout)")
     p.add_argument("--format", choices=("text", "machine-readable"),
                    default="text", dest="report_format")
+
+
+def _add_rank_rtol(p: argparse.ArgumentParser):
+    p.add_argument("--rank-rtol", type=float, default=1e-9,
+                   help="relative rank cutoff (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, dest="target",
                    choices=("choi", "kraus", "stinespring", "liouville"))
     _add_common(p)
+    _add_rank_rtol(p)
 
     p = sub.add_parser("apply", help="apply a superchannel to a channel")
     p.add_argument("theta")
@@ -128,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="sequential realization with minimal memory")
     p.add_argument("theta")
     _add_common(p)
+    _add_rank_rtol(p)
 
     p = sub.add_parser("memory-cost", help="minimal memory dimension")
     p.add_argument("theta")
@@ -281,8 +287,8 @@ def _cmd_realize(args) -> int:
     if args.out is None:
         raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     theta = _load_superchannel(args.theta)
-    result = realize(theta, tol=max(args.tol, 1e-8), rank_rtol=args.rank_rtol,
-                     validity_tol=args.tol)
+    result = realize(theta, tol=max(args.tol, REALIZE_TOL),
+                     rank_rtol=args.rank_rtol, validity_tol=args.tol)
     v_path = f"{args.out}.V.json"
     w_path = f"{args.out}.W.json"
     save_document(result.v, v_path)

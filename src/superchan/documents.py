@@ -272,9 +272,7 @@ def _assemble(kind, systems, matrices):
     if kind == "operator":
         if len(matrices) != 1:
             raise ParseError("operator documents carry exactly one matrix")
-        out_sys = [(n, d) for n, d, role in systems if role == "output"]
-        in_sys = [(n, d) for n, d, role in systems if role == "input"]
-        return LabeledOperator(matrices[0], in_sys, out_sys)
+        return LabeledOperator(matrices[0], ins, outs)
     if kind == "gour":
         if len(matrices) != 1:
             raise ParseError("gour documents carry exactly one matrix")

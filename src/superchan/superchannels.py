@@ -279,14 +279,13 @@ def _align_input_channel(theta: SuperchannelChoi, e: ChoiRep) -> ChoiRep:
 
 
 def apply_to_channel(theta: SuperchannelChoi, e: ChoiRep,
-                     validate_input: bool = True,
                      tol: float = DEFAULT_ATOL) -> ChoiRep:
     """Output channel's Choi operator via the link product over B1 and A2.
 
     Side outputs of ``e`` beyond the final one ride through unchanged, so a
     causal map B1 -> (R, A2) yields a channel A1 -> (R, B2).
     """
-    if validate_input and not validate_channel(e, tol).valid:
+    if not validate_channel(e, tol).valid:
         raise NotAValidSuperchannel("input channel fails the CP/TP check")
     aligned = _align_input_channel(theta, e)
     pass_through = tuple(
@@ -305,38 +304,30 @@ def gour_from_choi(theta: SuperchannelChoi,
                    cross_check_tol: float = 1e-12) -> LabeledOperator:
     """Operator on B1 ⊗ A2 ⊗ A1 ⊗ B2 built from the action on basis maps.
 
-    Computed two independent ways: through ``apply_to_channel`` on d_B1²
-    block probes, and by permuting the Choi operator into the
-    (B1, A2, A1, B2) order.  Probe (b, b') is the map B1 -> (R, A2) with
-    Choi operator |b><b'|_B1 ⊗ |Γ><Γ|_{R,A2}; the side output R carries the
-    A2 index through, so its image on (R, A1, B2) is the (b, b') block of
-    the basis-map operator, compared with the permuted block as soon as it
-    arrives.  The two must agree; disagreement is a hard internal error.
+    It is the Choi operator permuted into the (B1, A2, A1, B2) order, checked
+    against the action on basis maps: Θ sends the map B1 -> (R, A2) with
+    Choi operator |b><b'|_B1 ⊗ |Γ><Γ|_{R,A2} to the (b, b') block of the
+    basis-map operator on (R, A1, B2), the side output R carrying the A2
+    index through.  One link product with the probe X_B1 ⊗ |Γ><Γ|_{R,A2},
+    X a fixed-seed matrix of random phases, checks all blocks at once
+    (Freivalds-style): its image sum_{bb'} X_{bb'} block(b, b') is compared
+    entry by entry with the same combination of the permuted blocks.  As
+    |X_{bb'}| = 1, an error in one entry of one block moves one image entry
+    by its full size.  Disagreement beyond ``cross_check_tol`` (relative to
+    the largest entry, at least 1) is a hard internal error.
     """
     d = theta.dims
     permuted = permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
 
-    g = gamma(d.a2, ("R", "A2"))
-    loop = g @ g.adjoint()
+    phases = np.exp(2j * np.pi * np.random.default_rng(0).random((d.b1, d.b1)))
     b1 = SystemList([("B1", d.b1)])
+    g = gamma(d.a2, ("R", "A2"))
+    probe = kron(LabeledOperator(phases, b1, b1), g @ g.adjoint())
+    image = link_product(theta.op, probe, out_order=("R", "A1", "B2")).matrix
     side = d.a2 * d.a1 * d.b2
-    expected = permuted.matrix.reshape(d.b1, side, d.b1, side)
-    drift = 0.0
-    for row in range(d.b1):
-        for col in range(d.b1):
-            unit = np.zeros((d.b1, d.b1), dtype=np.complex128)
-            unit[row, col] = 1.0
-            probe = ChoiRep(
-                kron(LabeledOperator(unit, b1, b1), loop), ("B1",), ("R", "A2")
-            )
-            image = apply_to_channel(theta, probe, validate_input=False).op
-            block = permute_systems(
-                image, ("R", "A1", "B2"), ("R", "A1", "B2")
-            ).matrix
-            drift = np.maximum(
-                drift, np.max(np.abs(block - expected[row, :, col, :]))
-            )
-    drift = float(drift)
+    blocks = permuted.matrix.reshape(d.b1, side, d.b1, side)
+    expected = np.einsum("bc,bscu->su", phases, blocks)
+    drift = float(np.max(np.abs(image - expected)))
     if drift > cross_check_tol * max(1.0, float(np.max(np.abs(permuted.matrix)))):
         raise ResidualTooLarge(
             f"basis-map and permutation constructions disagree by {drift:.3e}"

@@ -197,6 +197,17 @@ class TestRealizeAndMemory:
                            "machine-readable")
         assert json.loads(out)["memory_cost"] >= 1
 
+    def test_rank_rtol_only_where_it_is_read(self, tmp_path, capsys):
+        theta = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--seed", "43", "--out", theta)
+        code, _, err = run(capsys, "memory-cost", theta, "--rank-rtol", "1e-6")
+        assert code == 1
+        assert "--rank-rtol" in err
+        code, out, _ = run(capsys, "realize", theta, "--rank-rtol", "1e-9",
+                           "--out", str(tmp_path / "parts"))
+        assert code == 0
+        assert out.startswith("memory dimension: ")
+
     def test_realize_without_out_is_usage_error(self, tmp_path, capsys):
         theta = str(tmp_path / "theta.json")
         run(capsys, "gen", "superchannel", "--seed", "47", "--out", theta)

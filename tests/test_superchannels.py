@@ -281,63 +281,63 @@ class TestGour:
             g = gour_from_choi(theta)  # raises if the two paths disagree
             assert g.in_systems.labels == ("B1", "A2", "A1", "B2")
 
+    @staticmethod
+    def _perturbed(original, calls, index):
+        # wraps an operator-returning function; shifts one entry by 1e-9
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(args)
+            m = out.matrix.copy()
+            m.flat[index] += 1e-9
+            return LabeledOperator(m, out.in_systems, out.out_systems)
+        return wrapped
+
     def test_disagreeing_routes_raise(self, monkeypatch):
-        original = superchannels.apply_to_channel
-        calls = []
-
-        def perturbed(theta, e, **kwargs):
-            out = original(theta, e, **kwargs)
-            calls.append(e)
-            if len(calls) != 3:
-                return out
-            m = out.op.matrix.copy()
-            m[0, 0] += 1e-9
-            op = LabeledOperator(m, out.op.in_systems, out.op.out_systems)
-            return ChoiRep(op, out.input_labels, out.output_labels)
-
-        monkeypatch.setattr(superchannels, "apply_to_channel", perturbed)
         theta = random_superchannel(QUBIT, memory_dim=2, seed=3)
+        calls = []
+        monkeypatch.setattr(superchannels, "link_product", self._perturbed(
+            superchannels.link_product, calls, 0))
         with pytest.raises(ResidualTooLarge):
             gour_from_choi(theta)
-        assert len(calls) == 4
+        assert len(calls) == 1
 
-    def test_disagreeing_last_probe_raises(self, monkeypatch):
-        original = superchannels.apply_to_channel
-        calls = []
-
-        def perturbed(theta, e, **kwargs):
-            out = original(theta, e, **kwargs)
-            calls.append(e)
-            if len(calls) != theta.dims.b1 ** 2:
-                return out
-            m = out.op.matrix.copy()
-            m[-1, -1] += 1e-9
-            op = LabeledOperator(m, out.op.in_systems, out.op.out_systems)
-            return ChoiRep(op, out.input_labels, out.output_labels)
-
-        monkeypatch.setattr(superchannels, "apply_to_channel", perturbed)
+    def test_disagreeing_last_entry_raises(self, monkeypatch):
         theta = random_superchannel(SuperchannelDims(1, 2, 3, 2), memory_dim=2, seed=4)
+        calls = []
+        monkeypatch.setattr(superchannels, "link_product", self._perturbed(
+            superchannels.link_product, calls, -1))
         with pytest.raises(ResidualTooLarge):
             gour_from_choi(theta)
-        assert len(calls) == 9
+        assert len(calls) == 1
 
-    def test_one_block_probe_per_b1_pair(self, monkeypatch):
-        # d_B1² calls to apply_to_channel, and the two routes agree exactly
-        original = superchannels.apply_to_channel
+    def test_one_link_product_per_call(self, monkeypatch):
+        # one probe checks every block, and honest inputs agree per entry
+        original = superchannels.link_product
         calls = []
 
-        def counted(theta, e, **kwargs):
-            calls.append(e)
-            return original(theta, e, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(superchannels, "apply_to_channel", counted)
+        monkeypatch.setattr(superchannels, "link_product", counted)
         for i, dims in enumerate(itertools.product((1, 2, 3), repeat=4)):
             theta = random_superchannel(
                 SuperchannelDims(*dims), memory_dim=1 + i % 3, seed=900 + i
             )
             calls.clear()
-            gour_from_choi(theta, cross_check_tol=0.0)
-            assert len(calls) == dims[2] ** 2, dims
+            gour_from_choi(theta, cross_check_tol=1e-14)
+            assert len(calls) == 1, dims
+
+    @pytest.mark.parametrize("dims", [(1, 2, 3, 2), (2, 2, 2, 2)])
+    def test_every_single_entry_error_is_caught(self, monkeypatch, dims):
+        # the random phases have modulus 1, so no block position is blind
+        theta = random_superchannel(SuperchannelDims(*dims), memory_dim=2, seed=11)
+        original = superchannels.permute_systems
+        for index in range(theta.op.matrix.size):
+            monkeypatch.setattr(superchannels, "permute_systems",
+                                self._perturbed(original, [], index))
+            with pytest.raises(ResidualTooLarge):
+                gour_from_choi(theta)
 
     def test_round_trip_exact(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=31)
