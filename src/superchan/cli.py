@@ -82,19 +82,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="validity tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--out", default=None,
-                   help="output path ('-' or omitted: stdout)")
-    p.add_argument("--format", choices=("text", "machine-readable"),
-                   default="text", dest="report_format")
+_OPTIONS = {
+    "--tol": dict(type=float, default=1e-9,
+                  help="validity tolerance (default 1e-9)"),
+    "--rank-rtol": dict(type=float, default=1e-9,
+                        help="relative rank cutoff (default 1e-9)"),
+    "--seed": dict(type=int, default=0, help="generator seed"),
+    "--out": dict(default=None, help="output path ('-' or omitted: stdout)"),
+    "--format": dict(choices=("text", "machine-readable"), default="text",
+                     dest="report_format"),
+}
 
 
-def _add_rank_rtol(p: argparse.ArgumentParser):
-    p.add_argument("--rank-rtol", type=float, default=1e-9,
-                   help="relative rank cutoff (default 1e-9)")
+def _add_options(p: argparse.ArgumentParser, *flags: str):
+    """Give a subcommand the shared options it reads, and only those."""
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,44 +108,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="CP/TP (channel) or CP/TP/NS "
                                         "(superchannel) report")
     p.add_argument("file")
-    _add_common(p)
+    _add_options(p, "--tol", "--format")
 
     p = sub.add_parser("convert", help="convert a channel representation")
     p.add_argument("file")
     p.add_argument("--to", required=True, dest="target",
                    choices=("choi", "kraus", "stinespring", "liouville"))
-    _add_common(p)
-    _add_rank_rtol(p)
+    _add_options(p, "--tol", "--rank-rtol", "--out")
 
     p = sub.add_parser("apply", help="apply a superchannel to a channel")
     p.add_argument("theta")
     p.add_argument("channel")
-    _add_common(p)
+    _add_options(p, "--tol", "--out")
 
     p = sub.add_parser("compose", help="compose two channels (first, then second)")
     p.add_argument("first")
     p.add_argument("second")
-    _add_common(p)
+    _add_options(p, "--out")
 
     p = sub.add_parser("gour", help="permute between the Choi and the "
                                     "basis-map operator orderings")
     p.add_argument("file")
     p.add_argument("--inverse", action="store_true")
-    _add_common(p)
+    _add_options(p, "--out")
 
     p = sub.add_parser("realize", help="sequential realization with minimal memory")
     p.add_argument("theta")
-    _add_common(p)
-    _add_rank_rtol(p)
+    _add_options(p, "--tol", "--rank-rtol", "--out", "--format")
 
     p = sub.add_parser("memory-cost", help="minimal memory dimension")
     p.add_argument("theta")
-    _add_common(p)
+    _add_options(p, "--tol", "--format")
 
     p = sub.add_parser("breaking", help="EB verdict (channel) or "
                                         "Type-I/Type-II report (superchannel)")
     p.add_argument("file")
-    _add_common(p)
+    _add_options(p, "--tol", "--format")
 
     p = sub.add_parser("gen", help="generate documented test objects")
     gen_sub = p.add_subparsers(dest="generator", required=True,
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d-in", type=int, default=2)
     g.add_argument("--d-out", type=int, default=2)
     g.add_argument("--kraus-rank", type=int, default=2)
-    _add_common(g)
+    _add_options(g, "--seed", "--out")
 
     g = gen_sub.add_parser("superchannel")
     g.add_argument("--d-a1", type=int, default=2)
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d-b1", type=int, default=2)
     g.add_argument("--d-b2", type=int, default=2)
     g.add_argument("--memory-dim", type=int, default=2)
-    _add_common(g)
+    _add_options(g, "--seed", "--out")
 
     g = gen_sub.add_parser("eb-superchannel")
     g.add_argument("--d-a1", type=int, default=2)
@@ -168,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d-b1", type=int, default=2)
     g.add_argument("--d-b2", type=int, default=2)
     g.add_argument("--terms", type=int, default=2)
-    _add_common(g)
+    _add_options(g, "--seed", "--out")
 
     g = gen_sub.add_parser("type1-example")
     g.add_argument("--d", type=int, default=2)
-    _add_common(g)
+    _add_options(g, "--out")
 
     g = gen_sub.add_parser("depolarizing")
     g.add_argument("--p", type=float, required=True)
-    _add_common(g)
+    _add_options(g, "--out")
 
     return parser
 

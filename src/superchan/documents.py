@@ -1,9 +1,12 @@
 """On-disk JSON documents for operators and channel/superchannel representations.
 
-One document holds one object.  Complex entries are serialized as two-element
-``[re, im]`` arrays of decimal floats with 17 significant digits, which round
-trip doubles exactly; field order and float formatting are fixed, so saving
-the same object twice produces byte-identical files.
+One document holds one object.  Each matrix is written as
+``{"shape": [rows, cols], "base64": ...}``: standard padded base64 of its
+row-major little-endian complex128 bytes (format version "2"), so round trips
+are bit-exact, signed zeros included.  Field order is fixed and the JSON is
+compact, so saving the same object twice produces byte-identical files.
+Format "1" documents, whose matrices are lists of rows of ``[re, im]``
+decimal pairs, are still read but never written.
 
 Loading only checks structure (fields, shapes, dimensions).  Whether an
 operator is a valid channel or superchannel is an explicit, separate check.
@@ -11,8 +14,8 @@ operator is a valid channel or superchannel is an explicit, separate check.
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 
 import numpy as np
 
@@ -22,7 +25,8 @@ from .channels import ChoiRep, KrausRep, LiouvilleRep, StinespringRep
 from .operators import LabeledOperator, SystemList
 from .superchannels import GOUR_ORDER, SuperchannelChoi
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+_ENTRY = np.dtype("<c16")  # one complex entry on disk: two little-endian doubles
 
 KINDS = (
     "operator",
@@ -37,50 +41,15 @@ KINDS = (
 
 
 # ----------------------------------------------------------------------
-# deterministic emitter
+# payloads
 # ----------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ParseError(f"non-finite value {x!r} cannot be serialized")
-    text = format(float(x), ".17g")
-    # "-0" would parse back as the integer 0 and lose the sign
-    return "-0.0" if text == "-0" else text
-
-
-def _emit(value, out: list):
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise ParseError(f"cannot serialize {type(value)}")
-
-
-def _matrix_payload(m: np.ndarray) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in m
-    ]
+def _matrix_payload(m: np.ndarray) -> dict:
+    m = np.ascontiguousarray(m, _ENTRY)
+    if not np.isfinite(m).all():
+        raise ParseError("non-finite value cannot be serialized")
+    return {"shape": list(m.shape),
+            "base64": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
 def _systems_payload(systems, roles) -> list:
@@ -164,9 +133,11 @@ def document_from_object(obj, kind: str | None = None,
 
 
 def document_bytes(doc: dict) -> bytes:
-    pieces: list = []
-    _emit(doc, pieces)
-    return ("".join(pieces) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"cannot serialize document: {exc}") from None
+    return (text + "\n").encode("utf-8")
 
 
 def save_document(obj, path, kind: str | None = None,
@@ -192,7 +163,8 @@ def _parse_complex(entry, where: str) -> complex:
     return complex(float(entry[0]), float(entry[1]))
 
 
-def _parse_matrix(rows, where: str) -> np.ndarray:
+def _parse_rows(rows, where: str) -> np.ndarray:
+    """A format "1" matrix: a list of rows of [re, im] pairs."""
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     width = None
@@ -208,6 +180,46 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
             [_parse_complex(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)]
         )
     return np.array(out, dtype=np.complex128)
+
+
+def _parse_base64(payload, where: str) -> np.ndarray:
+    """A format "2" matrix: {"shape": [rows, cols], "base64": ...}.
+
+    Returns a read-only view of the decoded bytes; the object built from it
+    makes its own copy.
+    """
+    if not isinstance(payload, dict) or set(payload) != {"shape", "base64"}:
+        raise ParseError(
+            f"{where}: expected an object with fields 'shape' and 'base64'"
+        )
+    shape = payload["shape"]
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(type(n) is int and n > 0 for n in shape)
+    ):
+        raise ParseError(
+            f"{where}.shape: expected two positive integers, got {shape!r}"
+        )
+    text = payload["base64"]
+    if not isinstance(text, str):
+        raise ParseError(f"{where}.base64: expected a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ParseError(f"{where}.base64: {exc}") from None
+    need = _ENTRY.itemsize * shape[0] * shape[1]
+    if len(raw) != need:
+        raise ParseError(
+            f"{where}.base64: {len(raw)} bytes, shape {shape} needs {need}"
+        )
+    m = np.frombuffer(raw, _ENTRY).reshape(shape)
+    if not np.isfinite(m).all():
+        raise ParseError(f"{where}: non-finite entry")
+    return m
+
+
+_MATRIX_PARSERS = {"1": _parse_rows, "2": _parse_base64}
 
 
 def _parse_systems(raw, where: str):
@@ -251,6 +263,13 @@ def object_from_document(doc: dict):
     for field in ("format_version", "kind", "systems", "matrices"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
+    version = doc["format_version"]
+    parse = _MATRIX_PARSERS.get(version) if isinstance(version, str) else None
+    if parse is None:
+        raise ParseError(
+            f"format_version: expected one of {sorted(_MATRIX_PARSERS)}, "
+            f"got {version!r}"
+        )
     kind = doc["kind"]
     if kind not in KINDS:
         raise UnknownKind(f"unknown kind {kind!r}")
@@ -258,9 +277,7 @@ def object_from_document(doc: dict):
     matrices = doc["matrices"]
     if not isinstance(matrices, list) or not matrices:
         raise ParseError("matrices: expected a non-empty list")
-    parsed = [
-        _parse_matrix(m, f"matrices[{i}]") for i, m in enumerate(matrices)
-    ]
+    parsed = [parse(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
     try:
         return _assemble(kind, systems, parsed)
     except DimensionMismatch as exc:

@@ -280,6 +280,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize("argv,option", [
+        (("validate", "theta.json", "--out", "r.txt"), "--out"),
+        (("gen", "channel", "--format", "machine-readable"), "--format"),
+        (("compose", "a.json", "b.json", "--tol", "5"), "--tol"),
+    ])
+    def test_option_only_where_read_is_1(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {option}" in err
+
     def test_p_out_of_range_is_1(self, capsys):
         # structural precondition, not a tolerance check
         code, _, _ = run(capsys, "gen", "depolarizing", "--p", "1.5")
