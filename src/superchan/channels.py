@@ -129,12 +129,16 @@ class LiouvilleRep:
     out_systems: SystemList
 
     def __post_init__(self):
+        # a private read-only copy, as LabeledOperator keeps
+        m = np.array(self.matrix, dtype=np.complex128)
         d_in, d_out = self.in_systems.total_dim, self.out_systems.total_dim
-        if self.matrix.shape != (d_out * d_out, d_in * d_in):
+        if m.shape != (d_out * d_out, d_in * d_in):
             raise DimensionMismatch(
-                f"Liouville matrix shape {self.matrix.shape}, "
+                f"Liouville matrix shape {m.shape}, "
                 f"expected ({d_out ** 2}, {d_in ** 2})"
             )
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -249,38 +253,51 @@ def choi_from_liouville(l: LiouvilleRep) -> ChoiRep:
     )
 
 
+_KIND_NAMES = {
+    ChoiRep: "choi",
+    KrausRep: "kraus",
+    StinespringRep: "stinespring",
+    LiouvilleRep: "liouville",
+}
+
+
 def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
                     rank_rtol: float = DEFAULT_RANK_RTOL):
-    """Convert between any two of {choi, kraus, stinespring, liouville}."""
-    kind_map = {
-        ChoiRep: "choi",
-        KrausRep: "kraus",
-        StinespringRep: "stinespring",
-        LiouvilleRep: "liouville",
-    }
-    source = kind_map.get(type(rep))
+    """Convert between any two of {choi, kraus, stinespring, liouville}.
+
+    Choi and Liouville are reshuffles of one another, so that edge is exact,
+    bit for bit, and decomposes nothing.  Only Kraus and Stinespring targets
+    from a Choi or Liouville source need the spectral decomposition of the
+    Choi operator (:func:`kraus_from_choi`, one operator per eigenvalue above
+    ``rank_rtol`` times the largest); every other edge is built from the
+    Kraus operators.
+    """
+    source = _KIND_NAMES.get(type(rep))
     if source is None:
-        raise DimensionMismatch(f"not a channel representation: {type(rep)}")
+        raise DimensionMismatch(
+            f"expected a channel representation, got {type(rep).__name__}"
+        )
+    if target not in _KIND_NAMES.values():
+        raise DimensionMismatch(f"unknown target representation {target!r}")
     if source == target:
         return rep
-    # hub through the Kraus form
-    if source == "choi":
-        k = kraus_from_choi(rep, tol, rank_rtol)
+    if source == "liouville":
+        rep = choi_from_liouville(rep)
     elif source == "stinespring":
-        k = kraus_from_stinespring(rep, tol)
-    elif source == "liouville":
-        k = kraus_from_choi(choi_from_liouville(rep), tol, rank_rtol)
-    else:
-        k = rep
-    if target == "kraus":
-        return k
+        rep = kraus_from_stinespring(rep, tol)
+    if isinstance(rep, ChoiRep):
+        if target == "choi":
+            return rep
+        if target == "liouville":
+            return liouville_from_choi(rep)
+        rep = kraus_from_choi(rep, tol, rank_rtol)
     if target == "choi":
-        return choi_from_kraus(k)
-    if target == "stinespring":
-        return stinespring_from_kraus(k, tol)
+        return choi_from_kraus(rep)
     if target == "liouville":
-        return liouville_from_kraus(k)
-    raise DimensionMismatch(f"unknown target representation {target!r}")
+        return liouville_from_kraus(rep)
+    if target == "stinespring":
+        return stinespring_from_kraus(rep, tol)
+    return rep
 
 
 # ----------------------------------------------------------------------

@@ -12,19 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import (
-    DimensionMismatch,
-    DocumentError,
-    GenerationFailed,
-    IncompleteDecomposition,
-    NotAValidSuperchannel,
-    NotHermitian,
-    NotIsometry,
-    NotPSD,
-    NotTP,
-    ResidualTooLarge,
-    UnknownLabel,
-)
+from .errors import DimensionMismatch, DocumentError, SuperchanError, UnknownLabel
 from .breaking import (
     depolarizing_channel,
     eb_channel_report,
@@ -33,22 +21,14 @@ from .breaking import (
     superchannel_breaking_report,
 )
 from .channels import (
-    ChoiRep,
-    KrausRep,
-    LiouvilleRep,
-    StinespringRep,
-    choi_from_liouville,
-    choi_from_kraus,
     compose_channels,
     convert_channel,
-    kraus_from_stinespring,
     random_channel,
     validate_channel,
 )
 from .documents import document_bytes, document_from_object, load_document, save_document
 from .operators import LabeledOperator
 from .superchannels import (
-    REALIZE_TOL,
     SuperchannelChoi,
     SuperchannelDims,
     apply_to_channel,
@@ -61,18 +41,6 @@ from .superchannels import (
 )
 
 USAGE_ERRORS = (DocumentError, DimensionMismatch, UnknownLabel, FileNotFoundError)
-CHECK_ERRORS = (
-    GenerationFailed,
-    IncompleteDecomposition,
-    NotAValidSuperchannel,
-    NotHermitian,
-    NotIsometry,
-    NotPSD,
-    NotTP,
-    ResidualTooLarge,
-)
-
-CHANNEL_KINDS = (ChoiRep, KrausRep, StinespringRep, LiouvilleRep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,18 +169,6 @@ def _emit_report(lines: list, payload: dict, args) -> None:
             print(line)
 
 
-def _as_choi(obj) -> ChoiRep:
-    if isinstance(obj, ChoiRep):
-        return obj
-    if isinstance(obj, KrausRep):
-        return choi_from_kraus(obj)
-    if isinstance(obj, StinespringRep):
-        return choi_from_kraus(kraus_from_stinespring(obj))
-    if isinstance(obj, LiouvilleRep):
-        return choi_from_liouville(obj)
-    raise DimensionMismatch(f"expected a channel document, got {type(obj).__name__}")
-
-
 def _load_superchannel(path) -> SuperchannelChoi:
     obj = load_document(path)
     if not isinstance(obj, SuperchannelChoi):
@@ -231,7 +187,8 @@ def _cmd_validate(args) -> int:
     if isinstance(obj, SuperchannelChoi):
         kind, report = "superchannel", validate_superchannel(obj, tol=args.tol)
     else:
-        kind, report = "channel", validate_channel(_as_choi(obj), tol=args.tol)
+        choi = convert_channel(obj, "choi")
+        kind, report = "channel", validate_channel(choi, tol=args.tol)
     mark = lambda ok: "pass" if ok else "FAIL"
     lines = [
         f"hermitian: {mark(report.hermitian)}",
@@ -247,26 +204,23 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    obj = load_document(args.file)
-    if not isinstance(obj, CHANNEL_KINDS):
-        raise DimensionMismatch("convert works on channel documents")
-    result = convert_channel(obj, args.target, tol=args.tol,
-                             rank_rtol=args.rank_rtol)
+    result = convert_channel(load_document(args.file), args.target,
+                             tol=args.tol, rank_rtol=args.rank_rtol)
     _emit_doc(result, args)
     return 0
 
 
 def _cmd_apply(args) -> int:
     theta = _load_superchannel(args.theta)
-    channel = _as_choi(load_document(args.channel))
+    channel = convert_channel(load_document(args.channel), "choi")
     out = apply_to_channel(theta, channel, tol=args.tol)
     _emit_doc(out, args)
     return 0
 
 
 def _cmd_compose(args) -> int:
-    first = _as_choi(load_document(args.first))
-    second = _as_choi(load_document(args.second))
+    first = convert_channel(load_document(args.first), "choi")
+    second = convert_channel(load_document(args.second), "choi")
     _emit_doc(compose_channels(second, first), args)
     return 0
 
@@ -288,8 +242,7 @@ def _cmd_realize(args) -> int:
     if args.out is None:
         raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     theta = _load_superchannel(args.theta)
-    result = realize(theta, tol=max(args.tol, REALIZE_TOL),
-                     rank_rtol=args.rank_rtol, validity_tol=args.tol)
+    result = realize(theta, rank_rtol=args.rank_rtol, validity_tol=args.tol)
     v_path = f"{args.out}.V.json"
     w_path = f"{args.out}.W.json"
     save_document(result.v, v_path)
@@ -342,7 +295,7 @@ def _cmd_breaking(args) -> int:
         }
         _emit_report(lines, payload, args)
         return 0
-    choi = _as_choi(obj)
+    choi = convert_channel(obj, "choi")
     report = eb_channel_report(choi, tol=args.tol)
     verdict = {True: "yes", False: "no", None: "undetermined"}[report.is_eb]
     lines = [
@@ -405,7 +358,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"superchan: error: {exc}", file=sys.stderr)
         return 1
-    except CHECK_ERRORS as exc:
+    except SuperchanError as exc:
         print(f"superchan: check failed: {exc}", file=sys.stderr)
         return 2
 

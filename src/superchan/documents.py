@@ -213,10 +213,7 @@ def _parse_base64(payload, where: str) -> np.ndarray:
         raise ParseError(
             f"{where}.base64: {len(raw)} bytes, shape {shape} needs {need}"
         )
-    m = np.frombuffer(raw, _ENTRY).reshape(shape)
-    if not np.isfinite(m).all():
-        raise ParseError(f"{where}: non-finite entry")
-    return m
+    return np.frombuffer(raw, _ENTRY).reshape(shape)
 
 
 _MATRIX_PARSERS = {"1": _parse_rows, "2": _parse_base64}
@@ -278,6 +275,9 @@ def object_from_document(doc: dict):
     if not isinstance(matrices, list) or not matrices:
         raise ParseError("matrices: expected a non-empty list")
     parsed = [parse(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
+    for i, m in enumerate(parsed):
+        if not np.isfinite(m).all():
+            raise ParseError(f"matrices[{i}]: non-finite entry")
     try:
         return _assemble(kind, systems, parsed)
     except DimensionMismatch as exc:

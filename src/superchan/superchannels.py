@@ -454,32 +454,24 @@ def liouville_apply(k: LabeledOperator, family: SuperKrausFamily,
 # effective pre-processing channel, memory cost, realization
 # ----------------------------------------------------------------------
 
-def f_theta_channel(source, tol: float = DEFAULT_ATOL,
-                    rank_rtol: float = DEFAULT_RANK_RTOL) -> FThetaChannel:
+def f_theta_channel(theta: SuperchannelChoi,
+                    tol: float = DEFAULT_ATOL) -> FThetaChannel:
     """Effective pre-processing channel A1 -> B1 of a superchannel.
 
-    Its Choi operator is the (A1, B1) marginal of the superchannel Choi
-    divided by d_A2; it is CPTP whenever the superchannel is valid, and its
-    rank fixes the minimal memory dimension.  Accepts either the
-    superchannel (marginal by partial trace) or its operator family
-    (marginal assembled from the operator slices); the two routes agree.
+    Its Choi operator is F = Tr_{A2B2} Θ / d_A2, CPTP whenever Θ is valid.
+    Its Kraus operators sqrt(w_j) mat(u_j) come from F's first e1
+    eigenvectors, e1 being the memory rank that :func:`memory_cost` and
+    :func:`realize` decide at the default budget, so ``rank`` equals
+    ``memory_cost(theta)``; ``tol`` is the PSD tolerance of F's spectrum.
     """
-    if isinstance(source, SuperKrausFamily):
-        d = source.dims
-        acc = np.zeros((d.a1 * d.b1,) * 2, dtype=np.complex128)
-        for k in source.k_ops:
-            kt = k.matrix.reshape(d.a1, d.b2, d.b1, d.a2)
-            acc += np.einsum("apbq,cpdq->abcd", kt, kt.conj()).reshape(
-                d.a1 * d.b1, d.a1 * d.b1
-            )
-        systems = SystemList([("A1", d.a1), ("B1", d.b1)])
-        marginal = LabeledOperator(acc / d.a2, systems, systems)
-    else:
-        d = source.dims
-        marginal = partial_trace(source.op, ["A2", "B2"]) * (1.0 / d.a2)
-    choi = ChoiRep(marginal, ("A1",), ("B1",))
-    kraus = kraus_from_choi(choi, tol=tol, rank_rtol=rank_rtol)
-    return FThetaChannel(choi=choi, kraus=kraus.ops, rank=len(kraus))
+    d = theta.dims
+    w, u, _, e1 = _memory_split(theta, REALIZE_TOL, tol)
+    x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
+    kraus = tuple(LabeledOperator(k, [("A1", d.a1)], [("B1", d.b1)])
+                  for k in x.transpose(2, 1, 0))
+    marginal = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
+    return FThetaChannel(choi=ChoiRep(marginal, ("A1",), ("B1",)),
+                         kraus=kraus, rank=e1)
 
 
 def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):

@@ -6,14 +6,17 @@ import string
 import numpy as np
 import pytest
 
+from superchan.breaking import depolarizing_channel
 from superchan.channels import (
     ChoiRep,
     KrausRep,
+    LiouvilleRep,
     StinespringRep,
     apply_channel,
     choi_from_kraus,
     choi_from_liouville,
     compose_channels,
+    convert_channel,
     generalized_choi,
     kraus_from_choi,
     kraus_from_stinespring,
@@ -26,6 +29,7 @@ from superchan.channels import (
     validate_channel,
 )
 from superchan.errors import DimensionMismatch, NotPSD, NotTP
+from superchan.documents import load_document, save_document
 from superchan.operators import LabeledOperator, gamma, identity_operator
 
 
@@ -218,6 +222,72 @@ class TestLiouville:
         l = liouville_from_choi(j)
         back = choi_from_liouville(l)
         assert np.max(np.abs(back.op.matrix - j.op.matrix)) <= 1e-12
+
+    def test_keeps_a_private_read_only_copy(self, tmp_path):
+        k = random_channel(2, 3, 2, seed=17)
+        built = liouville_from_kraus(k)
+        m = built.matrix.copy()
+        l = LiouvilleRep(m, k.in_systems, k.out_systems)
+        assert l.matrix is not m and np.array_equal(l.matrix, m)
+        m[0, 0] += 1.0
+        assert not np.array_equal(l.matrix, m)
+        path = tmp_path / "l.json"
+        save_document(l, path)
+        for rep in (l, built, load_document(path)):
+            assert not rep.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                rep.matrix[0, 0] = 0.0
+
+
+KINDS = {
+    "choi": ChoiRep,
+    "kraus": KrausRep,
+    "stinespring": StinespringRep,
+    "liouville": LiouvilleRep,
+}
+
+
+class TestConvertChannel:
+    @pytest.mark.parametrize("d_in,d_out",
+                             list(itertools.product((1, 2, 3), repeat=2)))
+    def test_every_pair(self, d_in, d_out):
+        k = random_channel(d_in, d_out, d_in, seed=10 * d_in + d_out)
+        choi = choi_from_kraus(k).op.matrix
+        scale = np.linalg.norm(choi)
+        for source in KINDS:
+            rep = convert_channel(k, source)
+            assert isinstance(rep, KINDS[source])
+            for target, cls in KINDS.items():
+                out = convert_channel(rep, target)
+                assert isinstance(out, cls)
+                if target == source:
+                    assert out is rep
+                back = convert_channel(out, "choi").op.matrix
+                assert np.linalg.norm(back - choi) <= 1e-12 * scale
+
+    def test_choi_liouville_round_trips_bit_exact(self):
+        for seed in range(10):
+            choi = choi_from_kraus(random_channel(2, 3, 3, seed=seed))
+            liou = convert_channel(choi, "liouville")
+            again = convert_channel(liou, "choi")
+            assert np.array_equal(again.op.matrix, choi.op.matrix)
+            assert np.array_equal(convert_channel(again, "liouville").matrix,
+                                  liou.matrix)
+
+    def test_tiny_eigenvalues_survive(self):
+        # the reshuffle decomposes nothing, so no eigenvalue is cut
+        dep = depolarizing_channel(1e-12)
+        liou = convert_channel(dep, "liouville")
+        assert np.array_equal(liou.matrix, liouville_from_choi(dep).matrix)
+        back = convert_channel(liou, "choi").op.matrix
+        assert np.array_equal(back, dep.op.matrix)
+        assert np.isclose(np.linalg.eigvalsh(back)[0], 5e-13, rtol=1e-3)
+
+    def test_rejects_non_channels_and_unknown_targets(self):
+        with pytest.raises(DimensionMismatch, match="LabeledOperator"):
+            convert_channel(identity_operator([("A", 2)]), "choi")
+        with pytest.raises(DimensionMismatch, match="unknown target"):
+            convert_channel(gamma_choi(), "superoperator")
 
 
 class TestValidate:

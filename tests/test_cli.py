@@ -5,11 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from superchan import cli
 from superchan.cli import main
 from superchan.documents import load_document, save_document
 from superchan.channels import ChoiRep, KrausRep, StinespringRep, LiouvilleRep
+from superchan.errors import (
+    DimensionMismatch,
+    DocumentError,
+    SuperchanError,
+    UnknownLabel,
+)
 from superchan.operators import LabeledOperator
 from superchan.superchannels import SuperchannelChoi, realize
+
+from test_memory_properties import near_cutoff
 
 
 def run(capsys, *argv):
@@ -101,6 +110,21 @@ class TestConvert:
         a = apply_channel(original, rho).matrix
         b = apply_channel(converted, rho).matrix
         assert np.max(np.abs(a - b)) <= 1e-10
+
+    @pytest.mark.parametrize("gen", [
+        ("channel", "--d-in", "2", "--d-out", "3", "--seed", "29"),
+        ("depolarizing", "--p", "1e-12"),
+    ])
+    def test_choi_liouville_round_trip_bytes(self, tmp_path, capsys, gen):
+        src, choi, liou, back = (str(tmp_path / f"{n}.json")
+                                 for n in ("src", "choi", "liou", "back"))
+        run(capsys, "gen", *gen, "--out", src)
+        run(capsys, "convert", src, "--to", "choi", "--out", choi)
+        run(capsys, "convert", choi, "--to", "liouville", "--out", liou)
+        code, _, _ = run(capsys, "convert", liou, "--to", "choi", "--out", back)
+        assert code == 0
+        with open(choi, "rb") as a, open(back, "rb") as b:
+            assert a.read() == b.read()
 
     def test_convert_superchannel_is_usage_error(self, tmp_path, capsys):
         src = str(tmp_path / "theta.json")
@@ -208,6 +232,21 @@ class TestRealizeAndMemory:
         assert code == 0
         assert out.startswith("memory dimension: ")
 
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
+    def test_memory_cost_and_realize_agree_at_any_tol(self, tmp_path, capsys,
+                                                       tol):
+        # --tol is the validity tolerance in both; both cut at 1e-8
+        theta = str(tmp_path / "theta.json")
+        save_document(near_cutoff(1e-7), theta)
+        mr = ("--tol", tol, "--format", "machine-readable")
+        code, out, _ = run(capsys, "memory-cost", theta, *mr)
+        assert code == 0
+        cost = json.loads(out)["memory_cost"]
+        code, out, _ = run(capsys, "realize", theta, "--out",
+                           str(tmp_path / "parts"), *mr)
+        assert code == 0
+        assert json.loads(out)["memory_dim"] == cost == 4
+
     def test_realize_without_out_is_usage_error(self, tmp_path, capsys):
         theta = str(tmp_path / "theta.json")
         run(capsys, "gen", "superchannel", "--seed", "47", "--out", theta)
@@ -290,6 +329,25 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"unrecognized arguments: {option}" in err
+
+    def test_every_package_error_keeps_its_exit_code(self, capsys,
+                                                     monkeypatch):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        usage = (DocumentError, DimensionMismatch, UnknownLabel)
+        errors = list(subclasses(SuperchanError))
+        assert len(errors) >= 13
+        for error in errors:
+            def fail(args, error=error):
+                raise error("boom")
+
+            monkeypatch.setitem(cli.HANDLERS, "validate", fail)
+            code, _, err = run(capsys, "validate", "theta.json")
+            assert code == (1 if issubclass(error, usage) else 2), error
+            assert "boom" in err
 
     def test_p_out_of_range_is_1(self, capsys):
         # structural precondition, not a tolerance check

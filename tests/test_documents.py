@@ -285,6 +285,14 @@ class TestErrors:
             load_document(path)
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_format1_non_finite(self, token):
+        # json.loads reads these tokens; the loader must not
+        doc = json.loads(FORMAT1_TEXT.replace("[0.5,2.0]", f"[{token},2.0]"))
+        with pytest.raises(ParseError) as err:
+            object_from_document(doc)
+        assert "matrices[0]" in str(err.value)
+
     def test_ragged_matrix(self):
         doc = format1_document()
         doc["matrices"][0][1] = doc["matrices"][0][1][:-1]

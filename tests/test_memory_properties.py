@@ -16,6 +16,7 @@ from superchan.superchannels import (
     REALIZE_TOL,
     SuperchannelChoi,
     SuperchannelDims,
+    f_theta_channel,
     memory_cost,
     random_superchannel,
     realize,
@@ -102,6 +103,13 @@ def test_near_cutoff_grid(eps):
     assert r.e2_dim == numeric_rank(rebuilt(r).op)
     if eps <= 1e-9 or eps >= 3e-8:
         assert r.e2_dim == numeric_rank(theta.op)
+
+
+@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+def test_f_theta_rank_is_memory_cost(eps):
+    # F's Kraus count is the same memory-rank decision, not a second cut
+    theta = near_cutoff(eps)
+    assert f_theta_channel(theta).rank == memory_cost(theta)
 
 
 @pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)

@@ -534,14 +534,22 @@ class TestFThetaAndMemory:
 
     def test_f_theta_routes_agree(self):
         # partial trace of the Choi vs assembly from the operator slices
+        d = QUBIT
         for seed in range(10):
             theta = random_superchannel(QUBIT, memory_dim=2, seed=seed)
-            via_trace = f_theta_channel(theta)
-            via_family = f_theta_channel(n_operators(theta))
-            assert np.max(
-                np.abs(via_trace.choi.op.matrix - via_family.choi.op.matrix)
-            ) <= 1e-10
-            assert via_trace.rank == via_family.rank
+            f = f_theta_channel(theta)
+            acc = np.zeros((d.a1 * d.b1,) * 2, dtype=np.complex128)
+            for k in n_operators(theta).k_ops:
+                kt = k.matrix.reshape(d.a1, d.b2, d.b1, d.a2)
+                acc += np.einsum("apbq,cpdq->abcd", kt, kt.conj()).reshape(
+                    d.a1 * d.b1, d.a1 * d.b1
+                )
+            via_family = acc / d.a2
+            assert np.max(np.abs(f.choi.op.matrix - via_family)) <= 1e-10
+            assert f.rank == numeric_rank(via_family) == memory_cost(theta)
+            # the Kraus operators rebuild F: e1 is the full rank here
+            rebuilt = choi_from_kraus(KrausRep(f.kraus)).op.matrix
+            assert np.max(np.abs(rebuilt - via_family)) <= 1e-10
 
     def test_memory_cost_identity(self):
         assert memory_cost(identity_superchannel(2)) == 1
