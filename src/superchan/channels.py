@@ -120,7 +120,7 @@ class StinespringRep:
         return self.v.out_systems.without([self.env_label])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiouvilleRep:
     """Matrix acting on vectorized states: L vec(rho) = vec(channel(rho))."""
 

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="sequential realization with minimal memory")
     p.add_argument("theta")
-    _add_options(p, "--tol", "--rank-rtol", "--out", "--format")
+    _add_options(p, "--tol", "--out", "--format")
 
     p = sub.add_parser("memory-cost", help="minimal memory dimension")
     p.add_argument("theta")
@@ -242,7 +242,7 @@ def _cmd_realize(args) -> int:
     if args.out is None:
         raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     theta = _load_superchannel(args.theta)
-    result = realize(theta, rank_rtol=args.rank_rtol, validity_tol=args.tol)
+    result = realize(theta, validity_tol=args.tol)
     v_path = f"{args.out}.V.json"
     w_path = f"{args.out}.W.json"
     save_document(result.v, v_path)

@@ -29,7 +29,8 @@ TP and NS deviations are relative, within ``tol * max(1, ||J||)``
 counts above ``rank_rtol`` times the largest.  Memory rank e1: the smallest
 rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
 ``tol`` of ||Θ|| (``memory_cost``: its default, 1e-8).  Environment rank e2:
-the Kraus operators of Θ's kept block, counted with ``rank_rtol``.
+the Kraus operators of Θ's kept block, counted above ``tol / 10`` times the
+largest (the same budget; 1e-9 at the default).
 ``realize``'s self-check: residual relative to ||Θ|| within ``tol``;
 ||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the dimension.
 """

@@ -37,7 +37,6 @@ from .operators import (
     DEFAULT_RANK_RTOL,
     LabeledOperator,
     SystemList,
-    gamma,
     identity_operator,
     kron,
     partial_mat,
@@ -300,39 +299,16 @@ def apply_to_channel(theta: SuperchannelChoi, e: ChoiRep,
 # the equivalent operator built on a basis of maps
 # ----------------------------------------------------------------------
 
-def gour_from_choi(theta: SuperchannelChoi,
-                   cross_check_tol: float = 1e-12) -> LabeledOperator:
+def gour_from_choi(theta: SuperchannelChoi) -> LabeledOperator:
     """Operator on B1 ⊗ A2 ⊗ A1 ⊗ B2 built from the action on basis maps.
 
-    It is the Choi operator permuted into the (B1, A2, A1, B2) order, checked
-    against the action on basis maps: Θ sends the map B1 -> (R, A2) with
-    Choi operator |b><b'|_B1 ⊗ |Γ><Γ|_{R,A2} to the (b, b') block of the
-    basis-map operator on (R, A1, B2), the side output R carrying the A2
-    index through.  One link product with the probe X_B1 ⊗ |Γ><Γ|_{R,A2},
-    X a fixed-seed matrix of random phases, checks all blocks at once
-    (Freivalds-style): its image sum_{bb'} X_{bb'} block(b, b') is compared
-    entry by entry with the same combination of the permuted blocks.  As
-    |X_{bb'}| = 1, an error in one entry of one block moves one image entry
-    by its full size.  Disagreement beyond ``cross_check_tol`` (relative to
-    the largest entry, at least 1) is a hard internal error.
+    Θ sends the map B1 -> A2 with Choi operator |b a><b' a'| to the
+    ((b, a), (b', a')) block of this operator, and by the link product that
+    block is Θ's own entries with the (B1, A2) legs moved in front.  So the
+    operator is the Choi operator permuted into the (B1, A2, A1, B2) order:
+    an exact reindexing with no arithmetic.
     """
-    d = theta.dims
-    permuted = permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
-
-    phases = np.exp(2j * np.pi * np.random.default_rng(0).random((d.b1, d.b1)))
-    b1 = SystemList([("B1", d.b1)])
-    g = gamma(d.a2, ("R", "A2"))
-    probe = kron(LabeledOperator(phases, b1, b1), g @ g.adjoint())
-    image = link_product(theta.op, probe, out_order=("R", "A1", "B2")).matrix
-    side = d.a2 * d.a1 * d.b2
-    blocks = permuted.matrix.reshape(d.b1, side, d.b1, side)
-    expected = np.einsum("bc,bscu->su", phases, blocks)
-    drift = float(np.max(np.abs(image - expected)))
-    if drift > cross_check_tol * max(1.0, float(np.max(np.abs(permuted.matrix)))):
-        raise ResidualTooLarge(
-            f"basis-map and permutation constructions disagree by {drift:.3e}"
-        )
-    return permuted
+    return permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
 
 
 def choi_from_gour(gour: LabeledOperator) -> SuperchannelChoi:
@@ -465,17 +441,16 @@ def f_theta_channel(theta: SuperchannelChoi,
     ``memory_cost(theta)``; ``tol`` is the PSD tolerance of F's spectrum.
     """
     d = theta.dims
-    w, u, _, e1 = _memory_split(theta, REALIZE_TOL, tol)
+    f, w, u, _, e1 = _memory_split(theta, REALIZE_TOL, tol)
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     kraus = tuple(LabeledOperator(k, [("A1", d.a1)], [("B1", d.b1)])
                   for k in x.transpose(2, 1, 0))
-    marginal = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
-    return FThetaChannel(choi=ChoiRep(marginal, ("A1",), ("B1",)),
+    return FThetaChannel(choi=ChoiRep(f, ("A1",), ("B1",)),
                          kraus=kraus, rank=e1)
 
 
 def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
-    """The one memory-rank decision, on F's spectrum: (w, u, rot, e1).
+    """The one memory-rank decision, on F's spectrum: (F, w, u, rot, e1).
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
@@ -485,8 +460,8 @@ def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
-    dec = psd_decompose(partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2),
-                        tol=tol)
+    f = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
+    dec = psd_decompose(f, tol=tol)
     w, u = dec.eigenvalues, dec.eigenvectors
     t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
     half = u.conj().T @ t.transpose(0, 2, 1, 3, 5, 7, 4, 6).reshape(n, -1)
@@ -501,7 +476,7 @@ def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
     e1 = next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
-    return w, u, rot.reshape(n, m, m, n), e1
+    return f, w, u, rot.reshape(n, m, m, n), e1
 
 
 def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
@@ -511,7 +486,7 @@ def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
     default ``tol``, so ``memory_cost(theta) == realize(theta).e1_dim``.
     """
     _require_valid(theta, tol)
-    return _memory_split(theta, REALIZE_TOL, tol)[3]
+    return _memory_split(theta, REALIZE_TOL, tol)[4]
 
 
 def _nearest_isometry(m: np.ndarray) -> np.ndarray:
@@ -521,7 +496,6 @@ def _nearest_isometry(m: np.ndarray) -> np.ndarray:
 
 
 def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
-            rank_rtol: float = DEFAULT_RANK_RTOL,
             validity_tol: float = DEFAULT_ATOL) -> Realization:
     """Sequential realization with minimal memory.
 
@@ -529,17 +503,15 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     for X = [sqrt(w_j) u_j] and the post-processing Choi operator
     C = w^{-1/2} B w^{-1/2} on (E1, A2, B2), B being the kept block of Θ in
     F's eigenbasis; e1 is the smallest rank whose cut costs at most ``tol``.
-    V stacks the L_j = mat(X_j); W stacks the Kraus operators of B, counted
-    with ``rank_rtol`` and scaled by w^{-1/2} on E1 (those of C, as the
-    scaling is a congruence), each made an exact isometry.  A ``tol`` below
-    ``rank_rtol`` needs a smaller ``rank_rtol`` too, or a kept direction of F
-    whose part of Θ falls below it gets no Kraus operator.
+    V stacks the L_j = mat(X_j); W stacks the Kraus operators of B, one per
+    eigenvalue above ``tol / 10`` times the largest, scaled by w^{-1/2} on E1
+    (those of C, as the scaling is a congruence), each made an exact isometry.
     ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W matches
     within ``tol`` (relative Frobenius) and V, W pass as isometries.
     """
     _require_valid(theta, validity_tol)
     d = theta.dims
-    w, u, rot, e1 = _memory_split(theta, tol, validity_tol)
+    _, w, u, rot, e1 = _memory_split(theta, tol, validity_tol)
 
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
@@ -550,7 +522,7 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     post = kraus_from_choi(
         ChoiRep(LabeledOperator((b + b.conj().T) / 2.0, post_sys, post_sys),
                 ("E1", "A2"), ("B2",)),
-        tol=validity_tol, rank_rtol=rank_rtol,
+        tol=validity_tol, rank_rtol=tol / 10,
     )
     e2 = len(post)
     s = np.repeat(1.0 / np.sqrt(w[:e1]), d.a2)

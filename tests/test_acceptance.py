@@ -5,6 +5,7 @@ brute-force memory-rank computation, the analytic depolarizing boundary)
 never share code with the paths they check.
 """
 
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,6 +21,7 @@ from superchan.breaking import (
     superchannel_breaking_report,
 )
 from superchan.channels import (
+    ChoiRep,
     KrausRep,
     apply_channel,
     choi_from_kraus,
@@ -197,6 +199,36 @@ def oracle_adjoint_memory_rank(theta: SuperchannelChoi,
     return numeric_rank(traced, rtol)
 
 
+def oracle_basis_map_operator(theta: SuperchannelChoi) -> np.ndarray:
+    """The basis-map operator from its definition, one probe per matrix unit.
+
+    Block ((b, a), (b', a')) on (B1, A2) is the superchannel's image of the
+    map B1 -> A2 with Choi operator |b a><b' a'|.  That map is no channel, so
+    it rides as the off-diagonal block of a flag qubit R in the valid causal
+    map B1 -> (R, A2) with J = (1 + |b 0 a><b' 1 a'| + h.c.) / (2 d_A2),
+    whose R passes through: the image is 2 d_A2 times the output's (0, 1)
+    block in R.  (d_B1 d_A2)^2 calls of ``apply_to_channel``.
+    """
+    d = theta.dims
+    n, m = d.b1 * d.a2, d.a1 * d.b2
+    systems = SystemList([("B1", d.b1), ("R", 2), ("A2", d.a2)])
+    scale = 2.0 * d.a2
+    blocks = np.empty((n, m, n, m), dtype=np.complex128)
+    for row, col in itertools.product(range(n), repeat=2):
+        (b, a), (b_, a_) = divmod(row, d.a2), divmod(col, d.a2)
+        j = np.eye(2 * n, dtype=np.complex128).reshape(d.b1, 2, d.a2,
+                                                        d.b1, 2, d.a2)
+        j[b, 0, a, b_, 1, a_] = j[b_, 1, a_, b, 0, a] = 1.0
+        probe = ChoiRep(
+            LabeledOperator(j.reshape(2 * n, 2 * n) / scale, systems, systems),
+            ("B1",), ("R", "A2"),
+        )
+        out = apply_to_channel(theta, probe).op.matrix
+        flagged = out.reshape(d.a1, 2, d.b2, d.a1, 2, d.b2)[:, 0, :, :, 1, :]
+        blocks[row, :, col, :] = scale * flagged.reshape(m, m)
+    return blocks.reshape(n * m, n * m)
+
+
 # ----------------------------------------------------------------------
 # criteria
 # ----------------------------------------------------------------------
@@ -298,9 +330,13 @@ def test_criterion_04_gour_dual_path():
         for seed in range(50):
             theta = random_superchannel(QUBIT, memory_dim=1 + seed % 3,
                                         seed=seed)
-            # gour_from_choi raises if its two construction paths drift
-            # beyond 1e-12; also check the round trip is exact
-            g = gour_from_choi(theta, cross_check_tol=1e-12)
+            # the permutation equals the operator built from the action on
+            # matrix-unit maps, and the round trip is exact
+            g = gour_from_choi(theta)
+            want = oracle_basis_map_operator(theta)
+            assert g.in_systems.labels == ("B1", "A2", "A1", "B2")
+            assert (np.max(np.abs(g.matrix - want))
+                    <= 1e-12 * max(1.0, np.max(np.abs(want))))
             back = choi_from_gour(g)
             assert np.array_equal(back.op.matrix, theta.op.matrix)
 

@@ -238,6 +238,13 @@ class TestLiouville:
             with pytest.raises(ValueError):
                 rep.matrix[0, 0] = 0.0
 
+    def test_compares_by_identity_and_hashes(self):
+        # equal content is not equality, as for ChoiRep and KrausRep
+        k = random_channel(2, 2, 2, seed=19)
+        a, b = liouville_from_kraus(k), liouville_from_kraus(k)
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b, a}) == 2
+
 
 KINDS = {
     "choi": ChoiRep,

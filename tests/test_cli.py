@@ -227,10 +227,15 @@ class TestRealizeAndMemory:
         code, _, err = run(capsys, "memory-cost", theta, "--rank-rtol", "1e-6")
         assert code == 1
         assert "--rank-rtol" in err
-        code, out, _ = run(capsys, "realize", theta, "--rank-rtol", "1e-9",
+        code, _, err = run(capsys, "realize", theta, "--rank-rtol", "1e-9",
                            "--out", str(tmp_path / "parts"))
+        assert code == 1
+        assert "--rank-rtol" in err
+        chan = str(tmp_path / "chan.json")
+        run(capsys, "gen", "channel", "--seed", "43", "--out", chan)
+        code, _, _ = run(capsys, "convert", chan, "--to", "kraus", "--rank-rtol",
+                         "1e-9", "--out", str(tmp_path / "kraus.json"))
         assert code == 0
-        assert out.startswith("memory dimension: ")
 
     @pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
     def test_memory_cost_and_realize_agree_at_any_tol(self, tmp_path, capsys,

@@ -62,6 +62,15 @@ def assert_realized(theta: SuperchannelChoi):
     return r
 
 
+def realized_within(theta: SuperchannelChoi, tol: float):
+    """realize at ``tol``: one budget for the e1 cut and the e2 count."""
+    r = realize(theta, tol=tol)
+    assert r.reconstruction_residual <= tol
+    assert r.v_deviation <= 1e-12 and r.w_deviation <= 1e-12
+    assert r.e2_dim == numeric_rank(rebuilt(r).op, tol / 10)
+    return r
+
+
 @PROPERTY
 @given(dims=DIMS, memory=st.integers(1, 3), seed=SEEDS)
 def test_ranks_match_oracles(dims, memory, seed):
@@ -79,6 +88,29 @@ def test_validation_implies_realization(dims, memory, seeds, log_eps):
     a = random_superchannel(dims, 1, seed=seeds[0], pre_rank=1)
     b = random_superchannel(dims, memory, seed=seeds[1])
     assert_realized(mixture(a, b, 10.0 ** log_eps))
+
+
+@PROPERTY
+@given(dims=DIMS, memory=st.integers(1, 3), seeds=st.tuples(SEEDS, SEEDS),
+       log_eps=st.floats(-14.0, -3.0), log_tol=st.floats(-12.0, -6.0))
+def test_validation_implies_realization_at_any_tol(dims, memory, seeds,
+                                                   log_eps, log_tol):
+    a = random_superchannel(dims, 1, seed=seeds[0], pre_rank=1)
+    b = random_superchannel(dims, memory, seed=seeds[1])
+    theta = mixture(a, b, 10.0 ** log_eps)
+    assert validate_superchannel(theta).valid
+    realized_within(theta, 10.0 ** log_tol)
+
+
+def test_kept_direction_with_a_tiny_part_of_theta_is_realized():
+    # F's second eigenvalue is 6.4e-9: cutting B's tail at the scale of Θ
+    # would drop every Kraus operator of that kept direction, and W could
+    # not be faithful on it (residual 3.7e-5); e2 counted at tol/10 keeps it
+    d = SuperchannelDims(1, 1, 2, 2)
+    a = random_superchannel(d, 1, seed=0, pre_rank=1)
+    b = random_superchannel(d, 1, seed=0)
+    r = assert_realized(mixture(a, b, 10.0 ** -7.5))
+    assert (r.e1_dim, r.e2_dim) == (2, 3)
 
 
 def near_cutoff(eps: float) -> SuperchannelChoi:
@@ -115,17 +147,22 @@ def test_f_theta_rank_is_memory_cost(eps):
 @pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
 def test_near_cutoff_grid_at_smaller_tol(eps):
     # the caller's tol is the cut's budget: where the default cut costs more
-    # than 1e-10, realize keeps more of F instead of failing the residual
+    # than tol, realize keeps more of F instead of failing the residual
     theta = near_cutoff(eps)
-    r = realize(theta, tol=1e-10, rank_rtol=1e-12)
-    assert r.reconstruction_residual <= 1e-10
-    assert r.v_deviation <= 1e-12 and r.w_deviation <= 1e-12
-    assert r.e2_dim == numeric_rank(rebuilt(r).op, 1e-12)
     default = realize(theta)
-    if default.reconstruction_residual > 1e-10:
-        assert r.e1_dim > default.e1_dim
-    else:
-        assert r.e1_dim == default.e1_dim
+    for tol in (1e-10, 1e-12):
+        r = realized_within(theta, tol)
+        if default.reconstruction_residual > tol:
+            assert r.e1_dim > default.e1_dim
+        else:
+            assert r.e1_dim == default.e1_dim
+
+
+@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+def test_near_cutoff_grid_at_larger_tol(eps):
+    # a larger budget may cut deeper than the default, never shallower
+    theta = near_cutoff(eps)
+    assert realized_within(theta, 1e-6).e1_dim <= realize(theta).e1_dim
 
 
 def test_tiny_eigenvalue_kept_when_its_tail_costs_more_than_tol():

@@ -22,7 +22,6 @@ from superchan.channels import (
 from superchan.errors import (
     DimensionMismatch,
     NotAValidSuperchannel,
-    ResidualTooLarge,
 )
 from superchan.operators import (
     LabeledOperator,
@@ -51,6 +50,8 @@ from superchan.superchannels import (
     superchannel_from_parts,
     validate_superchannel,
 )
+
+from test_acceptance import oracle_basis_map_operator
 
 QUBIT = SuperchannelDims(2, 2, 2, 2)
 
@@ -278,66 +279,19 @@ class TestGour:
     def test_dual_path_agreement_random(self):
         for seed in range(10):
             theta = random_superchannel(QUBIT, memory_dim=2, seed=seed)
-            g = gour_from_choi(theta)  # raises if the two paths disagree
+            g = gour_from_choi(theta)
             assert g.in_systems.labels == ("B1", "A2", "A1", "B2")
 
-    @staticmethod
-    def _perturbed(original, calls, index):
-        # wraps an operator-returning function; shifts one entry by 1e-9
-        def wrapped(*args, **kwargs):
-            out = original(*args, **kwargs)
-            calls.append(args)
-            m = out.matrix.copy()
-            m.flat[index] += 1e-9
-            return LabeledOperator(m, out.in_systems, out.out_systems)
-        return wrapped
-
-    def test_disagreeing_routes_raise(self, monkeypatch):
-        theta = random_superchannel(QUBIT, memory_dim=2, seed=3)
-        calls = []
-        monkeypatch.setattr(superchannels, "link_product", self._perturbed(
-            superchannels.link_product, calls, 0))
-        with pytest.raises(ResidualTooLarge):
-            gour_from_choi(theta)
-        assert len(calls) == 1
-
-    def test_disagreeing_last_entry_raises(self, monkeypatch):
-        theta = random_superchannel(SuperchannelDims(1, 2, 3, 2), memory_dim=2, seed=4)
-        calls = []
-        monkeypatch.setattr(superchannels, "link_product", self._perturbed(
-            superchannels.link_product, calls, -1))
-        with pytest.raises(ResidualTooLarge):
-            gour_from_choi(theta)
-        assert len(calls) == 1
-
-    def test_one_link_product_per_call(self, monkeypatch):
-        # one probe checks every block, and honest inputs agree per entry
-        original = superchannels.link_product
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(superchannels, "link_product", counted)
+    def test_matches_basis_map_oracle_on_all_dims(self):
+        # the permutation is the operator built from the action on every
+        # matrix-unit map, at every dimension in {1, 2, 3}
         for i, dims in enumerate(itertools.product((1, 2, 3), repeat=4)):
             theta = random_superchannel(
                 SuperchannelDims(*dims), memory_dim=1 + i % 3, seed=900 + i
             )
-            calls.clear()
-            gour_from_choi(theta, cross_check_tol=1e-14)
-            assert len(calls) == 1, dims
-
-    @pytest.mark.parametrize("dims", [(1, 2, 3, 2), (2, 2, 2, 2)])
-    def test_every_single_entry_error_is_caught(self, monkeypatch, dims):
-        # the random phases have modulus 1, so no block position is blind
-        theta = random_superchannel(SuperchannelDims(*dims), memory_dim=2, seed=11)
-        original = superchannels.permute_systems
-        for index in range(theta.op.matrix.size):
-            monkeypatch.setattr(superchannels, "permute_systems",
-                                self._perturbed(original, [], index))
-            with pytest.raises(ResidualTooLarge):
-                gour_from_choi(theta)
+            want = oracle_basis_map_operator(theta)
+            got = gour_from_choi(theta).matrix
+            assert np.max(np.abs(got - want)) <= 1e-12, dims
 
     def test_round_trip_exact(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=31)
@@ -550,6 +504,22 @@ class TestFThetaAndMemory:
             # the Kraus operators rebuild F: e1 is the full rank here
             rebuilt = choi_from_kraus(KrausRep(f.kraus)).op.matrix
             assert np.max(np.abs(rebuilt - via_family)) <= 1e-10
+
+    def test_f_theta_takes_the_marginal_once(self, monkeypatch):
+        # F's Choi operator is the marginal the memory split decomposed
+        theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=6)
+        original = superchannels.partial_trace
+        calls = []
+
+        def counted(op, labels):
+            calls.append(tuple(labels))
+            return original(op, labels)
+
+        monkeypatch.setattr(superchannels, "partial_trace", counted)
+        f = f_theta_channel(theta)
+        assert calls == [("A2", "B2")]
+        direct = original(theta.op, ["A2", "B2"]) * (1.0 / 3)
+        assert f.choi.op.matrix.tobytes() == direct.matrix.tobytes()
 
     def test_memory_cost_identity(self):
         assert memory_cost(identity_superchannel(2)) == 1
