@@ -122,14 +122,16 @@ def _cut_exactness(op: LabeledOperator, cut: Bipartition) -> str:
     return "ppt-decisive" if d_left * d_right <= 6 else "ppt-necessary-only"
 
 
-def ppt_test(op: LabeledOperator, cut: Bipartition,
-             tol: float = DEFAULT_ATOL) -> PptVerdict:
-    """Partial transpose over the right side of the cut; report the minimum
-    eigenvalue.  Requires a Hermitian operator, square on every label."""
-    cut.validate_against(op)
+def _require_hermitian(op: LabeledOperator, tol: float):
     m = op.matrix
     if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
         raise NotHermitian("PPT test needs a Hermitian operator")
+
+
+def _ppt_verdict(op: LabeledOperator, cut: Bipartition,
+                 tol: float) -> PptVerdict:
+    """The verdict of :func:`ppt_test` on an operator already known to be
+    Hermitian at ``tol`` (the check validation makes)."""
     pt = partial_transpose(op, cut.right)
     min_eig = float(np.min(np.linalg.eigvalsh(pt.matrix)))
     return PptVerdict(
@@ -138,6 +140,15 @@ def ppt_test(op: LabeledOperator, cut: Bipartition,
         is_ppt=bool(min_eig >= -tol),
         tol=tol,
     )
+
+
+def ppt_test(op: LabeledOperator, cut: Bipartition,
+             tol: float = DEFAULT_ATOL) -> PptVerdict:
+    """Partial transpose over the right side of the cut; report the minimum
+    eigenvalue.  Requires a Hermitian operator, square on every label."""
+    cut.validate_against(op)
+    _require_hermitian(op, tol)
+    return _ppt_verdict(op, cut, tol)
 
 
 def ppt_battery(op: LabeledOperator, tol: float = DEFAULT_ATOL) -> tuple:
@@ -150,6 +161,7 @@ def ppt_battery(op: LabeledOperator, tol: float = DEFAULT_ATOL) -> tuple:
     labels = op.in_systems.labels
     if len(labels) < 2:
         raise DimensionMismatch("need at least two systems to bipartition")
+    _require_hermitian(op, tol)
     first, rest = labels[0], labels[1:]
     verdicts = []
     for mask in range(2 ** len(rest)):
@@ -159,7 +171,7 @@ def ppt_battery(op: LabeledOperator, tol: float = DEFAULT_ATOL) -> tuple:
         right = tuple(l for l in rest if l not in left)
         if not right:
             continue
-        verdicts.append(ppt_test(op, Bipartition(left, right), tol))
+        verdicts.append(_ppt_verdict(op, Bipartition(left, right), tol))
     return tuple(verdicts)
 
 
@@ -172,7 +184,7 @@ def eb_channel_report(c: ChoiRep, tol: float = DEFAULT_ATOL) -> EbChannelReport:
     if not validate_channel(c, tol).valid:
         raise NotAValidSuperchannel("EB verdicts need a valid channel")
     cut = Bipartition(tuple(c.input_labels), tuple(c.output_labels))
-    verdict = ppt_test(c.op, cut, tol)
+    verdict = _ppt_verdict(c.op, cut, tol)
     exactness = _cut_exactness(c.op, cut)
     if not verdict.is_ppt:
         is_eb = False
@@ -188,10 +200,11 @@ def superchannel_breaking_report(theta: SuperchannelChoi,
     """PPT verdicts on the two canonical cuts of a superchannel Choi operator."""
     if not validate_superchannel(theta, tol=tol).valid:
         raise NotAValidSuperchannel("breaking report needs a valid superchannel")
+    # a valid report includes the Hermiticity check that ppt_test makes
     cut1 = Bipartition(*TYPE_I_CUT)
     cut2 = Bipartition(*TYPE_II_CUT)
-    v1 = ppt_test(theta.op, cut1, tol)
-    v2 = ppt_test(theta.op, cut2, tol)
+    v1 = _ppt_verdict(theta.op, cut1, tol)
+    v2 = _ppt_verdict(theta.op, cut2, tol)
     return BreakingReport(
         type_I=v1,
         type_I_exactness=_cut_exactness(theta.op, cut1),

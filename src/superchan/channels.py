@@ -19,6 +19,7 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _as_system_list,
+    _handed_over,
     _hermitian_spectrum,
     _positions,
     mat,
@@ -144,6 +145,7 @@ class LiouvilleRep:
 @dataclass(frozen=True)
 class ChannelValidityReport:
     hermitian: bool
+    hermitian_deviation: float  # ||J - J†||_F
     cp: bool
     min_eigenvalue: float
     tp: bool
@@ -313,13 +315,15 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL) -> ChannelValidityRe
     """
     j = c.op.matrix
     scale = max(1.0, float(np.linalg.norm(j)))
-    hermitian = bool(np.linalg.norm(j - j.conj().T) <= tol * scale)
+    herm_dev = float(np.linalg.norm(j - j.conj().T))
+    hermitian = bool(herm_dev <= tol * scale)
     min_eig = float(np.min(_hermitian_spectrum(c.op, vectors=False)))
     cp = hermitian and min_eig >= -tol
     marginal = partial_trace(c.op, c.output_labels).matrix
     tp_dev = float(np.linalg.norm(marginal - np.eye(c.d_in)))
     return ChannelValidityReport(
         hermitian=hermitian,
+        hermitian_deviation=herm_dev,
         cp=cp,
         min_eigenvalue=min_eig,
         tp=bool(tp_dev <= tol * scale),
@@ -423,7 +427,7 @@ def link_product(m: LabeledOperator, n: LabeledOperator,
     res = res.transpose(out_axes + in_axes).reshape(
         out_sys.total_dim, in_sys.total_dim
     )
-    return LabeledOperator(res, in_sys, out_sys)
+    return _handed_over(res, in_sys, out_sys, m, n)
 
 
 def compose_channels(e2: ChoiRep, e1: ChoiRep) -> ChoiRep:

@@ -153,9 +153,12 @@ class LabeledOperator:
     __slots__ = ("_matrix", "_in", "_out", "_eigvalsh", "_eigh")
 
     def __init__(self, matrix, in_systems, out_systems):
+        self._set(np.array(matrix, dtype=np.complex128), in_systems,
+                  out_systems)
+
+    def _set(self, arr: np.ndarray, in_systems, out_systems):
         in_sys = _as_system_list(in_systems)
         out_sys = _as_system_list(out_systems)
-        arr = np.array(matrix, dtype=np.complex128)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -269,6 +272,19 @@ class LabeledOperator:
         if self._in != other._in or self._out != other._out:
             return False
         return bool(np.allclose(self._matrix, other._matrix, atol=atol, rtol=0.0))
+
+
+def _handed_over(arr: np.ndarray, in_systems, out_systems,
+                 *sources: LabeledOperator) -> LabeledOperator:
+    """Operator on ``arr``, a complex128 array its caller has just built and
+    gives up, kept without the copy that the constructor makes.  It is still
+    copied when it may share memory with one of ``sources`` (a reshape that
+    moved nothing is a view of its source's matrix)."""
+    if any(np.may_share_memory(arr, s.matrix) for s in sources):
+        arr = arr.copy()
+    op = LabeledOperator.__new__(LabeledOperator)
+    op._set(arr, in_systems, out_systems)
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +447,7 @@ def partial_transpose(op: LabeledOperator, labels) -> LabeledOperator:
     for i_out, i_in in pairs:
         order[i_out], order[i_in] = order[i_in], order[i_out]
     m = op.as_tensor().transpose(order).reshape(op.shape)
-    return LabeledOperator(m, op.in_systems, op.out_systems)
+    return _handed_over(m, op.in_systems, op.out_systems, op)
 
 
 def _positions(systems: SystemList, new, kind: str) -> list:
@@ -456,7 +472,7 @@ def permute_systems(op: LabeledOperator, new_in, new_out) -> LabeledOperator:
     m = op.as_tensor().transpose(order).reshape(
         out_sys.total_dim, in_sys.total_dim
     )
-    return LabeledOperator(m, in_sys, out_sys)
+    return _handed_over(m, in_sys, out_sys, op)
 
 
 # ----------------------------------------------------------------------

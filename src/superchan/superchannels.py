@@ -74,9 +74,15 @@ class SuperchannelChoi:
     Construction only checks structure (labels, order, squareness); the CP,
     TP and NS conditions are checked explicitly by
     :func:`validate_superchannel`.
+
+    The matrix cannot change, so, as :class:`LabeledOperator` memoises its
+    spectrum, this memoises per ``tol`` what the public functions derive from
+    it: the :class:`SuperchannelReport` and the budget-free part of the
+    memory split (F, its spectrum and the cost of every rank).  Each is
+    computed on first use, by whichever function asks first.
     """
 
-    __slots__ = ("_op", "_dims")
+    __slots__ = ("_op", "_dims", "_reports", "_splits")
 
     def __init__(self, op: LabeledOperator, dims: SuperchannelDims | None = None):
         if op.in_systems != op.out_systems:
@@ -90,6 +96,8 @@ class SuperchannelChoi:
             raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
         object.__setattr__(self, "_op", op)
         object.__setattr__(self, "_dims", found)
+        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_splits", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperchannelChoi is immutable")
@@ -112,6 +120,7 @@ class SuperchannelReport:
     """Independent CP / TP / NS verdicts with their deviation witnesses."""
 
     hermitian: bool
+    hermitian_deviation: float
     cp: bool
     min_eigenvalue: float
     tp: bool
@@ -207,15 +216,26 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
 
 def validate_superchannel(op, dims: SuperchannelDims | None = None,
                           tol: float = DEFAULT_ATOL) -> SuperchannelReport:
-    """Check the CP, TP and NS conditions; report-style, never raises.
+    """Check the CP, TP and NS conditions; report-style, never raises on an
+    operator that fails them.
 
     CP and TP are the channel checks of the same operator read as a channel
     (A1, A2) -> (B1, B2); only the NS condition is specific to superchannels.
+    ``dims`` labels an operator on other systems; on the A1, A2, B1, B2
+    systems it must agree with them (``DimensionMismatch`` otherwise).  A
+    :class:`SuperchannelChoi` keeps its report per ``tol`` and returns the
+    kept one on later calls.
     """
-    if isinstance(op, SuperchannelChoi):
-        op = op.op
-    if op.in_systems.labels != CHOI_ORDER and dims is not None:
-        op = LabeledOperator(op.matrix, dims.systems(), dims.systems())
+    theta = op if isinstance(op, SuperchannelChoi) else None
+    if theta is not None:
+        op = theta.op
+    if dims is not None:
+        if op.in_systems.labels != CHOI_ORDER:
+            op = LabeledOperator(op.matrix, dims.systems(), dims.systems())
+        elif dims != (found := SuperchannelDims(*op.in_systems.dims)):
+            raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
+    if theta is not None and tol in theta._reports:
+        return theta._reports[tol]
     channel = validate_channel(ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:]), tol)
 
     d_a2 = op.in_systems.dim_of("A2")
@@ -228,9 +248,12 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     )
     ns_dev = float(np.linalg.norm(lhs.matrix - rhs.matrix))
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    return SuperchannelReport(
+    report = SuperchannelReport(
         **vars(channel), ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev
     )
+    if theta is not None:
+        theta._reports[tol] = report
+    return report
 
 
 def _require_valid(theta: SuperchannelChoi, tol: float):
@@ -441,7 +464,7 @@ def f_theta_channel(theta: SuperchannelChoi,
     ``memory_cost(theta)``; ``tol`` is the PSD tolerance of F's spectrum.
     """
     d = theta.dims
-    f, w, u, _, e1 = _memory_split(theta, REALIZE_TOL, tol)
+    f, w, u, e1 = _memory_split(theta, REALIZE_TOL, tol)
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     kraus = tuple(LabeledOperator(k, [("A1", d.a1)], [("B1", d.b1)])
                   for k in x.transpose(2, 1, 0))
@@ -449,23 +472,32 @@ def f_theta_channel(theta: SuperchannelChoi,
                          kraus=kraus, rank=e1)
 
 
-def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
-    """The one memory-rank decision, on F's spectrum: (F, w, u, rot, e1).
+def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
+    """Θ with u† applied to its (A1, B1) row legs, as an n × (m·m·n) array
+    ``half[j, ((a2, b2), (a2', b2'), (a1', b1'))]``; ``@ u`` on its last
+    leg gives the rotation ``rot`` of :func:`_split_curve`."""
+    d = theta.dims
+    t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
+    return u.conj().T @ t.transpose(0, 2, 1, 3, 5, 7, 4, 6).reshape(
+        d.a1 * d.b1, -1)
+
+
+def _split_curve(theta: SuperchannelChoi, tol: float):
+    """The budget-free part of the memory split: (F, w, u, cost, rank).
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
-    (squared: the block norms with max(j, k) >= e) plus δ/(1 - δ), which
-    bounds making V exact when F's dropped weight is δ.  e1 is the smallest
-    rank costing at most ``budget``; a zero eigenvalue is never kept.
+    (squared: the block norms of rot with max(j, k) >= e) plus δ/(1 - δ),
+    which bounds making V exact when F's dropped weight is δ; ``cost[e - 1]``
+    is that cost for e = 1 .. rank - 1, ``rank`` the count of F's nonzero
+    eigenvalues.  rot itself is dropped: it is as large as Θ.
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
     f = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
     dec = psd_decompose(f, tol=tol)
     w, u = dec.eigenvalues, dec.eigenvectors
-    t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
-    half = u.conj().T @ t.transpose(0, 2, 1, 3, 5, 7, 4, 6).reshape(n, -1)
-    rot = half.reshape(n * m * m, n) @ u
+    rot = _rows_in_f_basis(theta, u).reshape(n * m * m, n) @ u
     # squared moduli summed per (j, k) block, on the float view of rot
     parts = np.square(rot.view(np.float64)).reshape(n, m * m, 2 * n)
     blocks = parts.sum(axis=1).reshape(n, n, 2).sum(axis=2)
@@ -475,8 +507,23 @@ def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
     tails = np.cumsum(shells[::-1])[::-1][1:rank] / shells.sum()
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
+    cost.setflags(write=False)
+    return f, w, u, cost, rank
+
+
+def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
+    """The one memory-rank decision, on F's spectrum: (F, w, u, e1).
+
+    e1 is the smallest rank whose cost on :func:`_split_curve` is at most
+    ``budget``; a zero eigenvalue is never kept.  The curve is memoised on
+    ``theta`` per ``tol``, so each ``budget`` costs one scan of it.
+    """
+    split = theta._splits.get(tol)
+    if split is None:
+        split = theta._splits[tol] = _split_curve(theta, tol)
+    f, w, u, cost, rank = split
     e1 = next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
-    return f, w, u, rot.reshape(n, m, m, n), e1
+    return f, w, u, e1
 
 
 def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
@@ -486,7 +533,7 @@ def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
     default ``tol``, so ``memory_cost(theta) == realize(theta).e1_dim``.
     """
     _require_valid(theta, tol)
-    return _memory_split(theta, REALIZE_TOL, tol)[4]
+    return _memory_split(theta, REALIZE_TOL, tol)[3]
 
 
 def _nearest_isometry(m: np.ndarray) -> np.ndarray:
@@ -511,13 +558,16 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     """
     _require_valid(theta, validity_tol)
     d = theta.dims
-    _, w, u, rot, e1 = _memory_split(theta, tol, validity_tol)
+    n, m = d.a1 * d.b1, d.a2 * d.b2
+    _, w, u, e1 = _memory_split(theta, tol, validity_tol)
 
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     v = _nearest_isometry(x.transpose(2, 1, 0).reshape(e1 * d.b1, d.a1))
-    b = rot[:e1, :, :, :e1].transpose(0, 1, 3, 2)
-    b = b.reshape(e1 * d.a2 * d.b2, e1 * d.a2 * d.b2)
+    # B = rot[:e1, :, :, :e1]: the split's two products, the second on its
+    # first e1 row blocks only, so B has the split's bits
+    b = (_rows_in_f_basis(theta, u)[:e1].reshape(e1 * m * m, n) @ u)[:, :e1]
+    b = b.reshape(e1, m, m, e1).transpose(0, 1, 3, 2).reshape(e1 * m, e1 * m)
     post_sys = SystemList([("E1", e1), ("A2", d.a2), ("B2", d.b2)])
     post = kraus_from_choi(
         ChoiRep(LabeledOperator((b + b.conj().T) / 2.0, post_sys, post_sys),

@@ -358,6 +358,37 @@ class TestPptBattery:
         verdicts = ppt_battery(theta.op)
         assert any(not v.is_ppt for v in verdicts)
 
+    def test_verdicts_are_ppt_test_per_cut(self):
+        from superchan.breaking import ppt_battery
+
+        eb = random_eb_superchannel(SuperchannelDims(2, 1, 3, 2), 2, seed=31)
+        verdicts = ppt_battery(eb.op)
+        assert len(verdicts) == 7
+        for v in verdicts:
+            assert v == ppt_test(eb.op, v.bipartition)
+
+    def test_not_hermitian_rejected_before_any_cut(self, monkeypatch):
+        from superchan import breaking
+        from superchan.breaking import ppt_battery
+
+        skew = np.zeros((8, 8), dtype=complex)
+        skew[0, 7] = 1.0
+        systems = [("A", 2), ("B", 2), ("C", 2)]
+        op = LabeledOperator(np.eye(8) + skew, systems, systems)
+        cuts = []
+        original = breaking._ppt_verdict
+
+        def counted(op, cut, tol):
+            cuts.append(cut)
+            return original(op, cut, tol)
+
+        monkeypatch.setattr(breaking, "_ppt_verdict", counted)
+        with pytest.raises(NotHermitian, match="PPT test needs a Hermitian"):
+            ppt_battery(op)
+        assert cuts == []
+        assert len(ppt_battery(LabeledOperator(np.eye(8), systems, systems))) == 3
+        assert len(cuts) == 3
+
 
 class TestRandomEbSuperchannel:
     def test_samples_valid_and_separable(self):

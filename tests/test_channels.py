@@ -324,6 +324,18 @@ class TestValidate:
         rep = validate_channel(doubled)
         assert rep.cp and not rep.tp
 
+    def test_hermitian_deviation_is_the_witness(self):
+        j = gamma_choi(2)
+        assert validate_channel(j).hermitian_deviation == 0.0
+        m = j.op.matrix.copy()
+        m[0, 3] += 1e-3
+        skew = ChoiRep(LabeledOperator(m, j.op.in_systems, j.op.out_systems),
+                       ("A",), ("B",))
+        rep = validate_channel(skew)
+        assert rep.hermitian_deviation == np.linalg.norm(m - m.conj().T)
+        assert not rep.hermitian and not rep.valid
+        assert validate_channel(skew, tol=1e-3).hermitian
+
 
 class TestApply:
     def test_identity_channel(self):

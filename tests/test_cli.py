@@ -55,6 +55,10 @@ class TestGenerateAndValidate:
         payload = json.loads(out)
         assert payload["valid"] is True
         assert payload["ns_deviation"] <= 1e-9
+        assert 0.0 <= payload["hermitian_deviation"] <= 1e-9
+        # the text report names no deviation for Hermiticity
+        code, text, _ = run(capsys, "validate", path)
+        assert code == 0 and text.splitlines()[0] == "hermitian: pass"
 
     def test_validate_failure_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "theta.json")

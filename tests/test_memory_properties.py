@@ -138,6 +138,20 @@ def test_near_cutoff_grid(eps):
 
 
 @pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+def test_near_cutoff_grid_on_one_split(eps):
+    # every budget reads the one memoised split of theta, and gets what a
+    # fresh copy of theta gets at that budget alone
+    theta = near_cutoff(eps)
+    assert_realized(theta)
+    for tol in (1e-6, 1e-10, 1e-12):
+        r = realized_within(theta, tol)
+        fresh = realize(SuperchannelChoi(LabeledOperator(
+            theta.op.matrix, theta.op.in_systems, theta.op.out_systems)), tol=tol)
+        assert (r.e1_dim, r.e2_dim) == (fresh.e1_dim, fresh.e2_dim)
+        assert r.w.matrix.tobytes() == fresh.w.matrix.tobytes()
+
+
+@pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
 def test_f_theta_rank_is_memory_cost(eps):
     # F's Kraus count is the same memory-rank decision, not a second cut
     theta = near_cutoff(eps)

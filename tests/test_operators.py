@@ -471,6 +471,53 @@ class TestSpectral:
         assert dec.eigenvalues[-1] == 0.0
 
 
+class TestFreshResults:
+    """Reindexing results keep no copy of their own array, yet stay read-only
+    and never share memory with their source."""
+
+    @staticmethod
+    def assert_fresh(result, *sources):
+        assert not result.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            result.matrix[0, 0] = 1.0
+        for source in sources:
+            assert not np.may_share_memory(result.matrix, source.matrix)
+
+    def test_permute_systems(self):
+        rng = np.random.default_rng(26)
+        m = random_square(rng, [("a", 2), ("b", 3)])
+        self.assert_fresh(permute_systems(m, ["b", "a"], ["a", "b"]), m)
+
+    def test_identity_permutation(self):
+        rng = np.random.default_rng(27)
+        m = random_square(rng, [("a", 2), ("b", 3)])
+        got = permute_systems(m, ["a", "b"], ["a", "b"])
+        self.assert_fresh(got, m)
+        assert got.matrix.tobytes() == m.matrix.tobytes()
+
+    def test_partial_transpose(self):
+        rng = np.random.default_rng(28)
+        m = random_square(rng, [("a", 2), ("b", 3)])
+        self.assert_fresh(partial_transpose(m, ["b"]), m)
+        # transposing nothing moves no entry: the reshape is a view
+        self.assert_fresh(partial_transpose(m, []), m)
+        # a dim-1 leg transposes in place as well
+        one = random_square(rng, [("a", 1), ("b", 3)])
+        self.assert_fresh(partial_transpose(one, ["a"]), one)
+
+    def test_link_product(self):
+        from superchan.channels import link_product
+
+        rng = np.random.default_rng(29)
+        m = random_square(rng, [("a", 2), ("c", 2)])
+        n = random_square(rng, [("c", 2), ("b", 3)])
+        self.assert_fresh(link_product(m, n), m, n)
+        # no shared label: the Kronecker product, already in order
+        x = random_square(rng, [("a", 2)])
+        y = random_square(rng, [("b", 3)])
+        self.assert_fresh(link_product(x, y), x, y)
+
+
 class TestSpectrumMemo:
     """The memoised Hermitian spectrum never changes what callers see."""
 

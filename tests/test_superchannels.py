@@ -160,6 +160,23 @@ class TestFromPartsAndValidate:
             validate_superchannel(op)
         assert validate_superchannel(op, dims=QUBIT).valid
 
+    def test_declared_dims_must_match_superchannel(self):
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
+        wrong = SuperchannelDims(3, 3, 3, 3)
+        with pytest.raises(DimensionMismatch, match="declared dims"):
+            validate_superchannel(theta, dims=wrong)
+        # a kept report is not read before the dims are checked
+        assert validate_superchannel(theta, dims=QUBIT).valid
+        with pytest.raises(DimensionMismatch, match="declared dims"):
+            validate_superchannel(theta, dims=wrong)
+
+    def test_declared_dims_must_match_choi_order_operator(self):
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
+        op = LabeledOperator(theta.op.matrix, QUBIT.systems(), QUBIT.systems())
+        with pytest.raises(DimensionMismatch, match="declared dims"):
+            validate_superchannel(op, dims=SuperchannelDims(3, 3, 3, 3))
+        assert validate_superchannel(op, dims=QUBIT).valid
+
     def test_invalid_part_rejected(self):
         k = LabeledOperator(0.5 * np.eye(2), [("A1", 2)], [("E1", 1), ("B1", 2)])
         bad_pre = choi_from_kraus(KrausRep((k,)))
@@ -627,6 +644,68 @@ class TestSpectrumReuse:
         again = n_operators(theta)
         for a, b in zip(family.n_ops, again.n_ops, strict=True):
             assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def fresh_copy(theta: SuperchannelChoi) -> SuperchannelChoi:
+    """The same operator with nothing memoised on it."""
+    op = theta.op
+    return SuperchannelChoi(
+        LabeledOperator(np.array(op.matrix), op.in_systems, op.out_systems)
+    )
+
+
+class TestMemo:
+    """One validation and one memory split per operator and tol."""
+
+    def test_chain_validates_and_splits_once(self, monkeypatch):
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=8)
+        counts = {"validate_channel": 0, "_split_curve": 0}
+        for name in counts:
+            original = getattr(superchannels, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(superchannels, name, counted)
+        assert validate_superchannel(theta).valid
+        cost = memory_cost(theta)
+        assert realize(theta).e1_dim == cost
+        superchannel_breaking_report(theta)
+        assert f_theta_channel(theta).rank == cost
+        assert counts == {"validate_channel": 1, "_split_curve": 1}
+
+    def test_reports_per_tol_match_a_fresh_operator(self):
+        theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=9)
+        loose = validate_superchannel(theta, tol=1e-9)
+        # at 1e-17 the roundoff of the assembly fails TP or NS
+        strict = validate_superchannel(theta, tol=1e-17)
+        assert loose.valid and not strict.valid
+        assert validate_superchannel(theta, tol=1e-9) is loose
+        assert validate_superchannel(theta, tol=1e-17) is strict
+        for tol, report in ((1e-9, loose), (1e-17, strict)):
+            assert report == validate_superchannel(fresh_copy(theta), tol=tol)
+
+    def test_rejection_is_kept_too(self):
+        bogus = SuperchannelChoi(
+            LabeledOperator(np.eye(16), QUBIT.systems(), QUBIT.systems())
+        )
+        for _ in range(2):
+            with pytest.raises(NotAValidSuperchannel):
+                memory_cost(bogus)
+        assert not validate_superchannel(bogus).valid
+
+    def test_realize_after_memory_cost_is_bit_identical(self):
+        for dims, seed in (((2, 2, 2, 2), 10), ((3, 2, 2, 3), 11),
+                           ((1, 3, 3, 2), 12)):
+            theta = random_superchannel(SuperchannelDims(*dims), 2, seed=seed)
+            memory_cost(theta)
+            got = realize(theta, tol=1e-6)
+            want = realize(fresh_copy(theta), tol=1e-6)
+            assert (got.e1_dim, got.e2_dim) == (want.e1_dim, want.e2_dim)
+            assert got.v.matrix.tobytes() == want.v.matrix.tobytes()
+            assert got.w.matrix.tobytes() == want.w.matrix.tobytes()
+            assert got.reconstruction_residual == want.reconstruction_residual
 
 
 class TestRandomSuperchannel:
