@@ -306,18 +306,24 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
 # validity and application
 # ----------------------------------------------------------------------
 
-def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL) -> ChannelValidityReport:
+def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
+                     _min_eigenvalue: float | None = None,
+                     ) -> ChannelValidityReport:
     """CP/TP report with recomputable witnesses; never raises on bad input.
 
     ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``,
     memoised on the Choi operator, so validating the same operator again
-    costs no further decomposition and gives the same report.
+    costs no further decomposition and gives the same report.  Superchannel
+    validation passes the witness it has bounded without the full spectrum
+    as ``_min_eigenvalue``; only the Hermiticity and TP checks run then.
     """
     j = c.op.matrix
     scale = max(1.0, float(np.linalg.norm(j)))
     herm_dev = float(np.linalg.norm(j - j.conj().T))
     hermitian = bool(herm_dev <= tol * scale)
-    min_eig = float(np.min(_hermitian_spectrum(c.op, vectors=False)))
+    min_eig = _min_eigenvalue
+    if min_eig is None:
+        min_eig = float(np.min(_hermitian_spectrum(c.op, vectors=False)))
     cp = hermitian and min_eig >= -tol
     marginal = partial_trace(c.op, c.output_labels).matrix
     tp_dev = float(np.linalg.norm(marginal - np.eye(c.d_in)))

@@ -25,8 +25,14 @@ recomputing the spectrum.
 Tolerance policy (Frobenius norms).  Validity (``validate_*``): Hermiticity,
 TP and NS deviations are relative, within ``tol * max(1, ||J||)``
 (:func:`psd_decompose`: ``tol * ||M||``); the minimum eigenvalue is absolute,
-``>= -tol``.  Ranks (``kraus_from_choi``, :func:`numeric_rank`): a value
-counts above ``rank_rtol`` times the largest.  Memory rank e1: the smallest
+``>= -tol``.  A superchannel's CP is decided on the kept block B of the
+memory split, the smallest e whose weight δ outside it is at most
+``tol / 10`` (absolute): λmin(Θ) lies in [min(λ_B, 0) - δ, λ_B], so it
+passes when min(λ_B, 0) - δ >= -tol and fails when λ_B < -tol; otherwise
+Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
+min(λ_B, 0), within δ (rounding level) of the full ``eigvalsh``.  Ranks
+(``kraus_from_choi``, :func:`numeric_rank`): a value counts above
+``rank_rtol`` times the largest.  Memory rank e1: the smallest
 rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
 ``tol`` of ||Θ|| (``memory_cost``: its default, 1e-8).  Environment rank e2:
 the Kraus operators of Θ's kept block, counted above ``tol / 10`` times the

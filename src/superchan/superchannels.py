@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAValidSuperchannel, ResidualTooLarge
+from .errors import (
+    DimensionMismatch,
+    NotAValidSuperchannel,
+    NotHermitian,
+    NotPSD,
+    ResidualTooLarge,
+)
 from .channels import (
     ChoiRep,
     KrausRep,
@@ -37,6 +43,7 @@ from .operators import (
     DEFAULT_RANK_RTOL,
     LabeledOperator,
     SystemList,
+    _hermitian_spectrum,
     identity_operator,
     kron,
     partial_mat,
@@ -78,8 +85,10 @@ class SuperchannelChoi:
     The matrix cannot change, so, as :class:`LabeledOperator` memoises its
     spectrum, this memoises per ``tol`` what the public functions derive from
     it: the :class:`SuperchannelReport` and the budget-free part of the
-    memory split (F, its spectrum and the cost of every rank).  Each is
-    computed on first use, by whichever function asks first.
+    memory split (F, its spectrum, the cost of every rank and the smallest
+    eigenvalue of the kept block that decides CP).  Each is computed on
+    first use, by whichever function asks first; validation splits too, so
+    Θ's own spectrum is only computed when the kept block cannot decide.
     """
 
     __slots__ = ("_op", "_dims", "_reports", "_splits")
@@ -117,12 +126,21 @@ class SuperchannelChoi:
 
 @dataclass(frozen=True)
 class SuperchannelReport:
-    """Independent CP / TP / NS verdicts with their deviation witnesses."""
+    """Independent CP / TP / NS verdicts with their deviation witnesses.
+
+    ``min_eigenvalue`` lies within ``min_eigenvalue_bound`` of the smallest
+    eigenvalue of (Θ + Θ†)/2; it is read off the block of Θ on the first
+    ``kept_rank`` eigenvectors of F (see :func:`validate_superchannel`).
+    From the full spectrum the bound is 0.0 and ``kept_rank`` is
+    d_A1·d_B1, all of F.
+    """
 
     hermitian: bool
     hermitian_deviation: float
     cp: bool
     min_eigenvalue: float
+    min_eigenvalue_bound: float
+    kept_rank: int
     tp: bool
     tp_deviation: float
     ns: bool
@@ -225,6 +243,17 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     systems it must agree with them (``DimensionMismatch`` otherwise).  A
     :class:`SuperchannelChoi` keeps its report per ``tol`` and returns the
     kept one on later calls.
+
+    CP is decided on the memory split's kept block B: Θ on the first e
+    eigenvectors of F = Tr_{A2B2} Θ / d_A2 (tensored with A2 B2), e being
+    the smallest rank whose weight δ outside that block is at most
+    ``tol / 10``.  By Cauchy interlacing and Weyl's inequality the smallest
+    eigenvalue of (Θ + Θ†)/2 lies in [min(λ, 0) - δ, λ], λ the smallest of
+    (B + B†)/2, so CP passes when min(λ, 0) - δ >= -tol and fails when
+    λ < -tol, with min(λ, 0) as the witness.  With no such e, with F not
+    Hermitian or not PSD at ``tol``, or with λ between those bounds, the
+    verdict comes from Θ's full spectrum; so the two verdicts agree short
+    of rounding at -tol, and the witnesses differ by at most δ.
     """
     theta = op if isinstance(op, SuperchannelChoi) else None
     if theta is not None:
@@ -236,7 +265,11 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
             raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
     if theta is not None and tol in theta._reports:
         return theta._reports[tol]
-    channel = validate_channel(ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:]), tol)
+    choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
+    if theta is None:
+        theta = SuperchannelChoi(op)
+    min_eig, bound, kept_rank = _cp_witness(theta, tol)
+    channel = validate_channel(choi, tol, _min_eigenvalue=min_eig)
 
     d_a2 = op.in_systems.dim_of("A2")
     lhs = partial_trace(op, ["B2"])
@@ -249,11 +282,26 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     ns_dev = float(np.linalg.norm(lhs.matrix - rhs.matrix))
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
     report = SuperchannelReport(
-        **vars(channel), ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev
+        **vars(channel), min_eigenvalue_bound=bound, kept_rank=kept_rank,
+        ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev,
     )
-    if theta is not None:
-        theta._reports[tol] = report
+    theta._reports[tol] = report
     return report
+
+
+def _cp_witness(theta: SuperchannelChoi, tol: float):
+    """(min eigenvalue, δ, e) decided on the kept block of the split, or
+    (None, 0.0, d_A1·d_B1) when the full spectrum must decide."""
+    try:
+        kept = _split(theta, tol)[5]
+    except (NotHermitian, NotPSD):
+        kept = None
+    if kept is not None:
+        e, delta, lam = kept
+        low = min(lam, 0.0)
+        if low - delta >= -tol or lam < -tol:
+            return low, delta, e
+    return None, 0.0, theta.dims.a1 * theta.dims.b1
 
 
 def _require_valid(theta: SuperchannelChoi, tol: float):
@@ -483,19 +531,24 @@ def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
 
 
 def _split_curve(theta: SuperchannelChoi, tol: float):
-    """The budget-free part of the memory split: (F, w, u, cost, rank).
+    """The budget-free part of the memory split and the CP witness:
+    (F, w, u, cost, rank, kept).
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
     (squared: the block norms of rot with max(j, k) >= e) plus δ/(1 - δ),
     which bounds making V exact when F's dropped weight is δ; ``cost[e - 1]``
     is that cost for e = 1 .. rank - 1, ``rank`` the count of F's nonzero
-    eigenvalues.  rot itself is dropped: it is as large as Θ.
+    eigenvalues.  ``kept`` is (e, δ, λ) for the smallest e < n whose
+    absolute residual δ is at most ``tol / 10``, λ the smallest eigenvalue
+    of the Hermitian part of rot's kept e×e block; None when there is no
+    such e.  rot itself is dropped: it is as large as Θ.
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
     f = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
-    dec = psd_decompose(f, tol=tol)
+    # on F's array, so u is the only copy of its eigenvectors the split keeps
+    dec = psd_decompose(f.matrix, tol=tol)
     w, u = dec.eigenvalues, dec.eigenvectors
     rot = _rows_in_f_basis(theta, u).reshape(n * m * m, n) @ u
     # squared moduli summed per (j, k) block, on the float view of rot
@@ -504,11 +557,28 @@ def _split_curve(theta: SuperchannelChoi, tol: float):
     shells = np.bincount(np.maximum(*np.indices((n, n))).ravel(),
                          weights=blocks.ravel(), minlength=n)
     rank = int(np.count_nonzero(w > 0.0))
-    tails = np.cumsum(shells[::-1])[::-1][1:rank] / shells.sum()
+    outside = np.cumsum(shells[::-1])[::-1]  # weight beyond the e×e block
+    tails = outside[1:rank] / shells.sum()
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
     cost.setflags(write=False)
-    return f, w, u, cost, rank
+    deltas = np.sqrt(outside[1:])
+    cut = np.flatnonzero(deltas <= tol / 10)
+    kept = None
+    if cut.size:
+        e = int(cut[0]) + 1
+        b = rot.reshape(n, m, m, n)[:e, :, :, :e].transpose(0, 1, 3, 2)
+        lam = _hermitian_spectrum(b.reshape(e * m, e * m), vectors=False)[0]
+        kept = (e, float(deltas[e - 1]), float(lam))
+    return f, w, u, cost, rank, kept
+
+
+def _split(theta: SuperchannelChoi, tol: float):
+    """:func:`_split_curve`, memoised on ``theta`` per ``tol``."""
+    split = theta._splits.get(tol)
+    if split is None:
+        split = theta._splits[tol] = _split_curve(theta, tol)
+    return split
 
 
 def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
@@ -518,10 +588,7 @@ def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
     ``budget``; a zero eigenvalue is never kept.  The curve is memoised on
     ``theta`` per ``tol``, so each ``budget`` costs one scan of it.
     """
-    split = theta._splits.get(tol)
-    if split is None:
-        split = theta._splits[tol] = _split_curve(theta, tol)
-    f, w, u, cost, rank = split
+    f, w, u, cost, rank, _ = _split(theta, tol)
     e1 = next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
     return f, w, u, e1
 

@@ -60,6 +60,26 @@ class TestGenerateAndValidate:
         code, text, _ = run(capsys, "validate", path)
         assert code == 0 and text.splitlines()[0] == "hermitian: pass"
 
+    def test_validate_reports_the_cp_witness_bound(self, tmp_path, capsys):
+        path = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--d-a1", "3", "--d-b1", "3",
+            "--memory-dim", "2", "--seed", "5", "--out", path)
+        code, out, _ = run(capsys, "validate", path, "--format",
+                           "machine-readable")
+        payload = json.loads(out)
+        # CP decided on a kept block of F's eigenvectors, within the bound
+        assert code == 0 and payload["kept_rank"] < 9
+        assert 0.0 <= payload["min_eigenvalue_bound"] <= 1e-10
+        channel = str(tmp_path / "chan.json")
+        run(capsys, "gen", "channel", "--seed", "7", "--out", channel)
+        code, out, _ = run(capsys, "validate", channel, "--format",
+                           "machine-readable")
+        assert code == 0 and "kept_rank" not in json.loads(out)
+        # the text report is unchanged: four verdicts and a result line
+        code, text, _ = run(capsys, "validate", path)
+        assert code == 0 and [l.split(":")[0] for l in text.splitlines()] == [
+            "hermitian", "cp", "tp", "ns", "result"]
+
     def test_validate_failure_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "theta.json")
         run(capsys, "gen", "superchannel", "--seed", "5", "--out", path)

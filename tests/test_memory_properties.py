@@ -7,6 +7,9 @@ brute-force memory rank of criterion 06 and the adjoint route that
 ``memory_cost`` used to cross-check with.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,3 +190,45 @@ def test_tiny_eigenvalue_kept_when_its_tail_costs_more_than_tol():
     b = random_superchannel(d, 2, seed=202)
     r = assert_realized(mixture(a, b, 1.7190722018585746e-07))
     assert r.e1_dim == 6
+
+
+# Θ - eps·vv† around the CP cutoff tol = 1e-9, v in the kept support
+CP_EPS = (0.0, 1e-12, 5e-10, 9e-10, 1.1e-9, 2e-9, 1e-6)
+
+
+def dented(theta: SuperchannelChoi, eps: float, rng) -> LabeledOperator:
+    """Θ - eps·vv† with v = u ⊗ x, u F's top eigenvector on (A1, B1) and x
+    random on (A2, B2): v lies in the block that decides CP."""
+    d = theta.dims
+    t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
+    f = np.einsum("apbqcpdq->abcd", t).reshape(d.a1 * d.b1, -1)
+    u = np.linalg.eigh(f)[1][:, -1].reshape(d.a1, d.b1)
+    x = rng.normal(size=(d.a2, d.b2)) + 1j * rng.normal(size=(d.a2, d.b2))
+    v = np.einsum("ab,pq->apbq", u, x).ravel()
+    v /= np.linalg.norm(v)
+    op = theta.op
+    return LabeledOperator(op.matrix - eps * np.outer(v, v.conj()),
+                           op.in_systems, op.out_systems)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_cp_verdict_on_kept_block_matches_full_spectrum(memory):
+    tol = 1e-9
+    paths = set()
+    for dims in itertools.product((1, 2, 3), repeat=4):
+        d = SuperchannelDims(*dims)
+        theta = random_superchannel(d, memory, seed=17)
+        rng = np.random.default_rng(list(dims) + [memory])
+        for eps in CP_EPS:
+            op = dented(theta, eps, rng)
+            r = validate_superchannel(op, tol=tol)
+            m = op.matrix
+            lam = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+            case = (dims, memory, eps)
+            assert r.cp == (lam >= -tol), case
+            assert (abs(r.min_eigenvalue - lam)
+                    <= r.min_eigenvalue_bound + 1e-12), case
+            assert r.min_eigenvalue_bound <= tol / 10, case
+            paths.add((r.kept_rank < d.a1 * d.b1, r.cp))
+    # the kept block decides both verdicts somewhere on the grid
+    assert {(True, True), (True, False)} <= paths

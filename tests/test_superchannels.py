@@ -22,6 +22,8 @@ from superchan.channels import (
 from superchan.errors import (
     DimensionMismatch,
     NotAValidSuperchannel,
+    NotHermitian,
+    NotPSD,
 )
 from superchan.operators import (
     LabeledOperator,
@@ -610,7 +612,8 @@ class TestRealize:
 
 
 class TestSpectrumReuse:
-    """One eigvalsh and no eigh per superchannel Choi operator."""
+    """No eigvalsh or eigh of a superchannel Choi operator outside the PPT
+    cuts: validation decides CP on the split's kept block."""
 
     def test_call_counts_on_public_chain(self, monkeypatch):
         theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
@@ -628,8 +631,8 @@ class TestSpectrumReuse:
         memory_cost(theta)
         realize(theta)
         superchannel_breaking_report(theta)
-        # eigvalsh: validation once, plus the two PPT cuts
-        assert calls == {"eigh": 0, "eigvalsh": 3}
+        # eigvalsh: only the two PPT cuts
+        assert calls == {"eigh": 0, "eigvalsh": 2}
 
     def test_report_independent_of_call_order(self):
         theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=5)
@@ -706,6 +709,98 @@ class TestMemo:
             assert got.v.matrix.tobytes() == want.v.matrix.tobytes()
             assert got.w.matrix.tobytes() == want.w.matrix.tobytes()
             assert got.reconstruction_residual == want.reconstruction_residual
+
+    def test_split_keeps_one_copy_of_fs_eigenvectors(self):
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=8)
+        validate_superchannel(theta)
+        f, _, u, *_ = superchannels._split(theta, 1e-9)
+        # F is decomposed on its array: u is the split's only eigenvector copy
+        assert f._eigh is None and u.shape == (9, 9)
+
+
+def dims_2112(diagonal, extra=None) -> LabeledOperator:
+    """An operator on (A1, A2, B1, B2) = (2, 1, 1, 2): F is its trace over
+    B2, so the kept block is one A1 block and the cut weight the other."""
+    m = np.diag(np.asarray(diagonal, dtype=complex))
+    if extra is not None:
+        m = m + extra
+    systems = SuperchannelDims(2, 1, 1, 2).systems()
+    return LabeledOperator(m, systems, systems)
+
+
+class TestKeptBlockWitness:
+    """CP decided on the split's kept block, else on Θ's full spectrum."""
+
+    def assert_full_spectrum(self, op, tol=1e-9):
+        report = validate_superchannel(op, tol=tol)
+        channel = validate_channel(ChoiRep(op, ("A1", "A2"), ("B1", "B2")), tol)
+        assert {k: getattr(report, k) for k in vars(channel)} == vars(channel)
+        assert report.min_eigenvalue_bound == 0.0
+        d = SuperchannelDims(*op.in_systems.dims)
+        assert report.kept_rank == d.a1 * d.b1
+        return report
+
+    def test_valid_superchannel_is_decided_on_its_kept_block(self):
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
+        report = validate_superchannel(theta)
+        m = theta.op.matrix
+        lam = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        assert report.valid and report.kept_rank < 9
+        assert 0.0 < report.min_eigenvalue_bound <= 1e-10
+        assert report.min_eigenvalue <= 0.0
+        assert abs(report.min_eigenvalue - lam) <= report.min_eigenvalue_bound
+
+    def test_kept_block_passes_and_fails(self):
+        # nothing outside the kept block: δ = 0 and λ is the witness itself
+        passing = validate_superchannel(dims_2112([1.0, -0.97e-9, 0.0, 0.0]))
+        assert passing.cp and passing.min_eigenvalue == -0.97e-9
+        failing = validate_superchannel(dims_2112([1.0, -1.5e-9, 0.0, 0.0]))
+        assert not failing.cp and failing.min_eigenvalue == -1.5e-9
+        for report in (passing, failing):
+            assert (report.kept_rank, report.min_eigenvalue_bound) == (1, 0.0)
+
+    def test_f_not_psd_falls_back(self):
+        op = dims_2112([1.0, 0.0, -1e-3, 0.0])
+        with pytest.raises(NotPSD):
+            superchannels._split_curve(SuperchannelChoi(op), 1e-9)
+        report = self.assert_full_spectrum(op)
+        assert not report.cp and report.min_eigenvalue == -1e-3
+
+    def test_non_hermitian_theta_falls_back(self):
+        extra = np.zeros((4, 4))
+        extra[0, 2] = 1e-3  # F = [[1, 1e-3], [0, 1]]
+        op = dims_2112([1.0, 0.0, 1.0, 0.0], extra)
+        with pytest.raises(NotHermitian):
+            superchannels._split_curve(SuperchannelChoi(op), 1e-9)
+        report = self.assert_full_spectrum(op)
+        assert not report.hermitian and not report.cp
+
+    @pytest.mark.parametrize("diagonal", [
+        [0.5, 0.5, 0.5, 0.5],  # F is the identity
+        [1.0, 0.0, 3e-10, 3e-10],  # δ = 4.2e-10: within tol, not tol / 10
+    ])
+    def test_no_gap_falls_back(self, diagonal):
+        # no rank below 2 leaves a weight within tol / 10 outside its block
+        op = dims_2112(diagonal)
+        assert superchannels._split_curve(SuperchannelChoi(op), 1e-9)[5] is None
+        assert self.assert_full_spectrum(op).cp
+
+    def test_grey_zone_falls_back(self):
+        # λ = -0.97e-9 >= -tol, but min(λ, 0) - δ = -1.04e-9 < -tol
+        op = dims_2112([1.0, -0.97e-9, 5e-11, 5e-11])
+        e, delta, lam = superchannels._split_curve(SuperchannelChoi(op), 1e-9)[5]
+        assert (e, lam) == (1, -0.97e-9) and 0.03e-9 < delta <= 1e-10
+        report = self.assert_full_spectrum(op)
+        assert report.cp and report.min_eigenvalue == pytest.approx(-0.97e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dims_2112([1.0, -0.97e-9, 0.0, 0.0]),  # kept block
+        lambda: dims_2112([1.0, -0.97e-9, 5e-11, 5e-11]),  # grey zone
+        lambda: random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=5).op,
+    ])
+    def test_plain_operator_and_superchannel_choi_agree(self, make):
+        assert validate_superchannel(make()) == validate_superchannel(
+            SuperchannelChoi(make()))
 
 
 class TestRandomSuperchannel:
