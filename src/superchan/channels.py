@@ -311,11 +311,10 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
                      ) -> ChannelValidityReport:
     """CP/TP report with recomputable witnesses; never raises on bad input.
 
-    ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``,
-    memoised on the Choi operator, so validating the same operator again
-    costs no further decomposition and gives the same report.  Superchannel
-    validation passes the witness it has bounded without the full spectrum
-    as ``_min_eigenvalue``; only the Hermiticity and TP checks run then.
+    ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``.
+    Superchannel validation passes the witness it has bounded without the
+    full spectrum as ``_min_eigenvalue``; only the Hermiticity and TP checks
+    run then.
     """
     j = c.op.matrix
     scale = max(1.0, float(np.linalg.norm(j)))
@@ -323,7 +322,7 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
     hermitian = bool(herm_dev <= tol * scale)
     min_eig = _min_eigenvalue
     if min_eig is None:
-        min_eig = float(np.min(_hermitian_spectrum(c.op, vectors=False)))
+        min_eig = float(np.min(_hermitian_spectrum(j, vectors=False)))
     cp = hermitian and min_eig >= -tol
     marginal = partial_trace(c.op, c.output_labels).matrix
     tp_dev = float(np.linalg.norm(marginal - np.eye(c.d_in)))

@@ -13,14 +13,7 @@ Conventions used throughout the package:
   transpose) move entries without arithmetic, so round trips are bit exact.
 
 Values are immutable after construction and every operation is a pure
-function of its inputs.  Because the matrix cannot change, each operator
-memoises the spectrum of its Hermitian part ``(M + M†)/2`` the first time it
-is asked for: the eigenvalues alone (``eigvalsh``, read by channel
-validation) and the full eigendecomposition (``eigh``, read by
-:func:`psd_decompose`) sit in two separate slots, so a caller that only
-validates never pays for eigenvectors.  A decomposed operator holds one extra
-n×n complex array until it is freed; every result is bit-identical to
-recomputing the spectrum.
+function of its inputs.
 
 Tolerance policy (Frobenius norms).  Validity (``validate_*``): Hermiticity,
 TP and NS deviations are relative, within ``tol * max(1, ||J||)``
@@ -30,7 +23,11 @@ memory split, the smallest e whose weight δ outside it is at most
 ``tol / 10`` (absolute): λmin(Θ) lies in [min(λ_B, 0) - δ, λ_B], so it
 passes when min(λ_B, 0) - δ >= -tol and fails when λ_B < -tol; otherwise
 Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
-min(λ_B, 0), within δ (rounding level) of the full ``eigvalsh``.  Ranks
+min(λ_B, 0), within δ (rounding level) of the full ``eigvalsh``.  The
+memory split applies no check of its own: it decomposes F's Hermitian part
+and clips its eigenvalues at 0, since λmin(F) >= d_B2·λmin(Θ_h) >=
+-d_B2·tol on any Θ that validation accepts, and every public reader of the
+split validates Θ first.  Ranks
 (``kraus_from_choi``, :func:`numeric_rank`): a value counts above
 ``rank_rtol`` times the largest.  Memory rank e1: the smallest
 rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
@@ -156,7 +153,7 @@ class LabeledOperator:
     factor); inside one list labels are unique.
     """
 
-    __slots__ = ("_matrix", "_in", "_out", "_eigvalsh", "_eigh")
+    __slots__ = ("_matrix", "_in", "_out")
 
     def __init__(self, matrix, in_systems, out_systems):
         self._set(np.array(matrix, dtype=np.complex128), in_systems,
@@ -178,8 +175,6 @@ class LabeledOperator:
         object.__setattr__(self, "_matrix", arr)
         object.__setattr__(self, "_in", in_sys)
         object.__setattr__(self, "_out", out_sys)
-        object.__setattr__(self, "_eigvalsh", None)
-        object.__setattr__(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledOperator is immutable")
@@ -500,30 +495,11 @@ class SpectralDecomposition:
     clip_tol: float
 
 
-def _hermitian_spectrum(op, vectors: bool):
+def _hermitian_spectrum(m: np.ndarray, vectors: bool):
     """Ascending ``eigvalsh`` (or ``eigh`` pair, with ``vectors``) of the
-    Hermitian part ``(M + M†)/2``, as read-only arrays.
-
-    A :class:`LabeledOperator` keeps the result in its slot for that kind and
-    returns it on later calls; a plain array is decomposed every time.
-    """
-    if isinstance(op, LabeledOperator):
-        slot = "_eigh" if vectors else "_eigvalsh"
-        spectrum = getattr(op, slot)
-        if spectrum is None:
-            spectrum = _hermitian_spectrum(op.matrix, vectors)
-            object.__setattr__(op, slot, spectrum)
-        return spectrum
-    m = np.asarray(op)
+    Hermitian part ``(M + M†)/2`` of an array."""
     herm = (m + m.conj().T) / 2.0
-    if not vectors:
-        vals = np.linalg.eigvalsh(herm)
-        vals.setflags(write=False)
-        return vals
-    vals, vecs = np.linalg.eigh(herm)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return vals, vecs
+    return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
 
 
 def psd_decompose(op, tol: float = DEFAULT_ATOL,
@@ -532,9 +508,8 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
 
     Raises ``NotHermitian`` when ``|M - M†|_F > tol * |M|_F`` and, with
     ``require_psd``, ``NotPSD`` when an eigenvalue falls below ``-tol``.
-    The ``eigh`` of ``(M + M†)/2`` is memoised on a ``LabeledOperator``;
-    the checks, clipping and phase fix run on every call, so the result is
-    the same as for ``op.matrix`` and does not depend on earlier calls.
+    The spectrum is that of ``(M + M†)/2``, so a ``LabeledOperator`` and its
+    ``matrix`` give the same result.
     """
     m = op.matrix if isinstance(op, LabeledOperator) else np.asarray(op)
     if m.shape[0] != m.shape[1]:
@@ -543,7 +518,7 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
     herm_dev = np.linalg.norm(m - m.conj().T)
     if herm_dev > tol * max(scale, 1e-300) and scale > 0:
         raise NotHermitian(f"deviation {herm_dev:.3e} exceeds {tol:.1e} * |M|")
-    vals, vecs = _hermitian_spectrum(op, vectors=True)
+    vals, vecs = _hermitian_spectrum(m, vectors=True)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     if require_psd and len(vals) and vals[-1] < -tol:

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotAValidSuperchannel,
-    NotHermitian,
-    NotPSD,
-    ResidualTooLarge,
-)
+from .errors import DimensionMismatch, NotAValidSuperchannel, ResidualTooLarge
 from .channels import (
     ChoiRep,
     KrausRep,
@@ -82,10 +76,10 @@ class SuperchannelChoi:
     TP and NS conditions are checked explicitly by
     :func:`validate_superchannel`.
 
-    The matrix cannot change, so, as :class:`LabeledOperator` memoises its
-    spectrum, this memoises per ``tol`` what the public functions derive from
-    it: the :class:`SuperchannelReport` and the budget-free part of the
-    memory split (F, its spectrum, the cost of every rank and the smallest
+    The matrix cannot change, so this memoises per ``tol`` what the public
+    functions derive from it, the package's only memo: the
+    :class:`SuperchannelReport` and the budget-free part of the memory
+    split (F, its spectrum, the cost of every rank and the smallest
     eigenvalue of the kept block that decides CP).  Each is computed on
     first use, by whichever function asks first; validation splits too, so
     Θ's own spectrum is only computed when the kept block cannot decide.
@@ -250,10 +244,11 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     ``tol / 10``.  By Cauchy interlacing and Weyl's inequality the smallest
     eigenvalue of (Θ + Θ†)/2 lies in [min(λ, 0) - δ, λ], λ the smallest of
     (B + B†)/2, so CP passes when min(λ, 0) - δ >= -tol and fails when
-    λ < -tol, with min(λ, 0) as the witness.  With no such e, with F not
-    Hermitian or not PSD at ``tol``, or with λ between those bounds, the
-    verdict comes from Θ's full spectrum; so the two verdicts agree short
-    of rounding at -tol, and the witnesses differ by at most δ.
+    λ < -tol, with min(λ, 0) as the witness.  With no such e, or with λ
+    between those bounds, the verdict comes from Θ's full spectrum; so the
+    two verdicts agree short of rounding at -tol, and the witnesses differ
+    by at most δ.  NS compares Tr_B2 Θ with F ⊗ 1_A2, F taken from the
+    split.
     """
     theta = op if isinstance(op, SuperchannelChoi) else None
     if theta is not None:
@@ -268,14 +263,19 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
     if theta is None:
         theta = SuperchannelChoi(op)
-    min_eig, bound, kept_rank = _cp_witness(theta, tol)
+    f, *_, kept = _split(theta, tol)
+    # (min eigenvalue, δ, e) when the kept block decides, else the full
+    # spectrum's (None asks validate_channel for it)
+    min_eig, bound, kept_rank = None, 0.0, theta.dims.a1 * theta.dims.b1
+    if kept is not None:
+        e, delta, lam = kept
+        if min(lam, 0.0) - delta >= -tol or lam < -tol:
+            min_eig, bound, kept_rank = min(lam, 0.0), delta, e
     channel = validate_channel(choi, tol, _min_eigenvalue=min_eig)
 
-    d_a2 = op.in_systems.dim_of("A2")
     lhs = partial_trace(op, ["B2"])
-    marginal = partial_trace(op, ["A2", "B2"])
     rhs = permute_systems(
-        kron(marginal, identity_operator([("A2", d_a2)]) * (1.0 / d_a2)),
+        kron(f, identity_operator([("A2", theta.dims.a2)])),
         ("A1", "A2", "B1"),
         ("A1", "A2", "B1"),
     )
@@ -287,21 +287,6 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     )
     theta._reports[tol] = report
     return report
-
-
-def _cp_witness(theta: SuperchannelChoi, tol: float):
-    """(min eigenvalue, δ, e) decided on the kept block of the split, or
-    (None, 0.0, d_A1·d_B1) when the full spectrum must decide."""
-    try:
-        kept = _split(theta, tol)[5]
-    except (NotHermitian, NotPSD):
-        kept = None
-    if kept is not None:
-        e, delta, lam = kept
-        low = min(lam, 0.0)
-        if low - delta >= -tol or lam < -tol:
-            return low, delta, e
-    return None, 0.0, theta.dims.a1 * theta.dims.b1
 
 
 def _require_valid(theta: SuperchannelChoi, tol: float):
@@ -509,8 +494,11 @@ def f_theta_channel(theta: SuperchannelChoi,
     Its Kraus operators sqrt(w_j) mat(u_j) come from F's first e1
     eigenvectors, e1 being the memory rank that :func:`memory_cost` and
     :func:`realize` decide at the default budget, so ``rank`` equals
-    ``memory_cost(theta)``; ``tol`` is the PSD tolerance of F's spectrum.
+    ``memory_cost(theta)``.  ``tol`` is the validity tolerance:
+    ``NotAValidSuperchannel`` is raised unless Θ passes
+    :func:`validate_superchannel` at it.
     """
+    _require_valid(theta, tol)
     d = theta.dims
     f, w, u, e1 = _memory_split(theta, REALIZE_TOL, tol)
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
@@ -532,7 +520,8 @@ def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
 
 def _split_curve(theta: SuperchannelChoi, tol: float):
     """The budget-free part of the memory split and the CP witness:
-    (F, w, u, cost, rank, kept).
+    (F, w, u, cost, rank, kept), w and u the spectrum of (F + F†)/2 with w
+    clipped at 0; the split checks nothing, its readers validate Θ first.
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
@@ -547,9 +536,11 @@ def _split_curve(theta: SuperchannelChoi, tol: float):
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
     f = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
-    # on F's array, so u is the only copy of its eigenvectors the split keeps
-    dec = psd_decompose(f.matrix, tol=tol)
-    w, u = dec.eigenvalues, dec.eigenvectors
+    # a validated Θ bounds F's eigenvalues below by -d_B2·tol
+    fm = f.matrix
+    dec = psd_decompose((fm + fm.conj().T) / 2.0, tol=tol, require_psd=False)
+    w, u = np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors
+    w.setflags(write=False)
     rot = _rows_in_f_basis(theta, u).reshape(n * m * m, n) @ u
     # squared moduli summed per (j, k) block, on the float view of rot
     parts = np.square(rot.view(np.float64)).reshape(n, m * m, 2 * n)

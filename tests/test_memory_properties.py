@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superchan.breaking import superchannel_breaking_report
 from superchan.channels import KrausRep, choi_from_kraus
 from superchan.operators import LabeledOperator, numeric_rank
 from superchan.superchannels import (
@@ -232,3 +233,59 @@ def test_cp_verdict_on_kept_block_matches_full_spectrum(memory):
             paths.add((r.kept_rank < d.a1 * d.b1, r.cp))
     # the kept block decides both verdicts somewhere on the grid
     assert {(True, True), (True, False)} <= paths
+
+
+# Validation is the only validity decision: operators it accepts at the edge
+# of tol, where F = Tr_{A2B2} Θ / d_A2 dips to -d_B2·eps or loses
+# Hermiticity by d_B2·eps, must get through every reader of the memory split
+EDGE_SHAPES = [(2, 2, 2, 2), (2, 2, 2, 3), (2, 1, 2, 4), (3, 2, 2, 3),
+               (1, 1, 2, 3), (2, 3, 3, 1)]
+EDGE_EPS = (3e-10, 6e-10, 9e-10, 2e-9, 4e-9)
+# accepted of the 30 perturbations of each shape (3 seeds, 2 directions,
+# 5 eps): 84 in all
+EDGE_ACCEPTED = {(2, 2, 2, 2): 18, (2, 2, 2, 3): 16, (2, 1, 2, 4): 9,
+                 (3, 2, 2, 3): 17, (1, 1, 2, 3): 6, (2, 3, 3, 1): 18}
+
+
+def edge_directions(theta: SuperchannelChoi, rng) -> tuple:
+    """The grid's two directions D, each y ⊗ 1_{A2B2} on (A1, A2, B1, B2):
+    y = |f><f| with f in F's kernel, so Θ - eps·D dents F to -eps·d_B2;
+    and y anti-Hermitian with Tr_B1 y = 0, which keeps TP and NS exact,
+    scaled to ||D|| = 1."""
+    d = theta.dims
+    n = d.a1 * d.b1
+    t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
+    f = np.einsum("apbqcpdq->abcd", t).reshape(n, n) / d.a2
+    kernel = np.linalg.eigh((f + f.conj().T) / 2)[1][:, 0]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = (g - g.conj().T) / 2
+    y_a1 = np.einsum("abcb->ac", y.reshape(d.a1, d.b1, d.a1, d.b1))
+    y = y - np.kron(y_a1, np.eye(d.b1)) / d.b1
+
+    def lifted(x):  # x ⊗ 1_{A2B2}, legs reordered to (A1, A2, B1, B2)
+        t = np.kron(x, np.eye(d.a2 * d.b2)).reshape((d.a1, d.b1, d.a2, d.b2) * 2)
+        return t.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d.total, d.total)
+
+    shift = lifted(y)
+    return lifted(np.outer(kernel, kernel.conj())), shift / np.linalg.norm(shift)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+def test_every_accepted_operator_gets_through(shape):
+    d = SuperchannelDims(*shape)
+    accepted = 0
+    for seed in range(3):
+        base = random_superchannel(d, 1, seed=seed, pre_rank=1)
+        op = base.op
+        for direction in edge_directions(base, np.random.default_rng(100 + seed)):
+            for eps in EDGE_EPS:
+                theta = SuperchannelChoi(LabeledOperator(
+                    op.matrix - eps * direction, op.in_systems, op.out_systems))
+                if not validate_superchannel(theta).valid:
+                    continue
+                accepted += 1
+                cost = memory_cost(theta)
+                assert realize(theta).e1_dim == cost
+                assert f_theta_channel(theta).rank == cost
+                superchannel_breaking_report(theta)
+    assert accepted == EDGE_ACCEPTED[shape]

@@ -15,7 +15,6 @@ from superchan.errors import (
 from superchan.operators import (
     LabeledOperator,
     SystemList,
-    _hermitian_spectrum,
     gamma,
     identity_operator,
     kron,
@@ -518,8 +517,9 @@ class TestFreshResults:
         self.assert_fresh(link_product(x, y), x, y)
 
 
-class TestSpectrumMemo:
-    """The memoised Hermitian spectrum never changes what callers see."""
+class TestNoHiddenState:
+    """An operator is a plain value: its input is copied, and its spectrum
+    is the same as its matrix's on every call."""
 
     @staticmethod
     def channel_matrix(seed):
@@ -537,17 +537,6 @@ class TestSpectrumMemo:
         fresh = LabeledOperator(saved, systems, systems)
         assert report == validate_channel(ChoiRep(fresh, ("A",), ("B",)))
         assert report.valid
-
-    def test_memoised_arrays_read_only(self):
-        m, systems = self.channel_matrix(41)
-        op = LabeledOperator(m, systems, systems)
-        vals = _hermitian_spectrum(op, vectors=False)
-        eig_vals, eig_vecs = _hermitian_spectrum(op, vectors=True)
-        for arr in (vals, eig_vals, eig_vecs):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        assert _hermitian_spectrum(op, vectors=False) is vals
-        assert _hermitian_spectrum(op, vectors=True)[1] is eig_vecs
 
     def test_labeled_and_plain_inputs_agree_bytewise(self):
         rng = np.random.default_rng(42)
