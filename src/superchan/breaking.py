@@ -31,6 +31,7 @@ from .operators import (
     DEFAULT_ATOL,
     LabeledOperator,
     SystemList,
+    _hermiticity,
     gamma,
     identity_operator,
     kron,
@@ -41,6 +42,7 @@ from .superchannels import (
     CHOI_ORDER,
     SuperchannelChoi,
     SuperchannelDims,
+    _require_valid,
     validate_superchannel,
 )
 
@@ -123,8 +125,7 @@ def _cut_exactness(op: LabeledOperator, cut: Bipartition) -> str:
 
 
 def _require_hermitian(op: LabeledOperator, tol: float):
-    m = op.matrix
-    if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
+    if not _hermiticity(op.matrix, tol)[1]:
         raise NotHermitian("PPT test needs a Hermitian operator")
 
 
@@ -198,8 +199,7 @@ def eb_channel_report(c: ChoiRep, tol: float = DEFAULT_ATOL) -> EbChannelReport:
 def superchannel_breaking_report(theta: SuperchannelChoi,
                                  tol: float = DEFAULT_ATOL) -> BreakingReport:
     """PPT verdicts on the two canonical cuts of a superchannel Choi operator."""
-    if not validate_superchannel(theta, tol=tol).valid:
-        raise NotAValidSuperchannel("breaking report needs a valid superchannel")
+    _require_valid(theta, tol)
     # a valid report includes the Hermiticity check that ppt_test makes
     cut1 = Bipartition(*TYPE_I_CUT)
     cut2 = Bipartition(*TYPE_II_CUT)
@@ -294,11 +294,9 @@ def example_type1_not_type2(d: int = 2, omega: np.ndarray | None = None,
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (d, d):
         raise DimensionMismatch(f"omega must be {d}x{d}")
-    if (
-        abs(np.trace(omega) - 1.0) > tol
-        or np.min(np.linalg.eigvalsh((omega + omega.conj().T) / 2)) < -tol
-        or np.linalg.norm(omega - omega.conj().T) > tol
-    ):
+    # a state is a channel from the trivial system
+    state = LabeledOperator(omega, [("B1", d)], [("B1", d)])
+    if not validate_channel(ChoiRep(state, (), ("B1",)), tol).valid:
         raise NotAValidSuperchannel("omega is not a quantum state")
     g = gamma(d, labels=("A1", "B2")).matrix
     relay = LabeledOperator(
@@ -306,10 +304,7 @@ def example_type1_not_type2(d: int = 2, omega: np.ndarray | None = None,
         [("A1", d), ("B2", d)],
         [("A1", d), ("B2", d)],
     )
-    body = kron(
-        kron(relay, identity_operator([("A2", d)])),
-        LabeledOperator(omega, [("B1", d)], [("B1", d)]),
-    )
+    body = kron(kron(relay, identity_operator([("A2", d)])), state)
     op = permute_systems(body, CHOI_ORDER, CHOI_ORDER)
     return SuperchannelChoi(op)
 

@@ -21,6 +21,7 @@ from .operators import (
     _as_system_list,
     _handed_over,
     _hermitian_spectrum,
+    _hermiticity,
     _positions,
     mat,
     partial_trace,
@@ -318,8 +319,7 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
     """
     j = c.op.matrix
     scale = max(1.0, float(np.linalg.norm(j)))
-    herm_dev = float(np.linalg.norm(j - j.conj().T))
-    hermitian = bool(herm_dev <= tol * scale)
+    herm_dev, hermitian = _hermiticity(j, tol)
     min_eig = _min_eigenvalue
     if min_eig is None:
         min_eig = float(np.min(_hermitian_spectrum(j, vectors=False)))

@@ -15,19 +15,19 @@ Conventions used throughout the package:
 Values are immutable after construction and every operation is a pure
 function of its inputs.
 
-Tolerance policy (Frobenius norms).  Validity (``validate_*``): Hermiticity,
-TP and NS deviations are relative, within ``tol * max(1, ||J||)``
-(:func:`psd_decompose`: ``tol * ||M||``); the minimum eigenvalue is absolute,
-``>= -tol``.  A superchannel's CP is decided on the kept block B of the
-memory split, the smallest e whose weight δ outside it is at most
-``tol / 10`` (absolute): λmin(Θ) lies in [min(λ_B, 0) - δ, λ_B], so it
-passes when min(λ_B, 0) - δ >= -tol and fails when λ_B < -tol; otherwise
-Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
+Tolerance policy (Frobenius norms).  Hermiticity (one rule,
+:func:`_hermiticity`, for ``validate_*``, :func:`psd_decompose` and the PPT
+tests), TP and NS deviations are relative, within ``tol * max(1, ||J||)``;
+the minimum eigenvalue is absolute, ``>= -tol``.  A superchannel's CP is
+decided on the kept block B of the memory split, the smallest e whose
+weight δ outside it is at most ``tol / 10`` (absolute): λmin(Θ) lies in
+[min(λ_B, 0) - δ, λ_B], so it passes when min(λ_B, 0) - δ >= -tol and
+fails when λ_B < -tol; otherwise Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
 min(λ_B, 0), within δ (rounding level) of the full ``eigvalsh``.  The
 memory split applies no check of its own: it decomposes F's Hermitian part
 and clips its eigenvalues at 0, since λmin(F) >= d_B2·λmin(Θ_h) >=
--d_B2·tol on any Θ that validation accepts, and every public reader of the
-split validates Θ first.  Ranks
+-d_B2·tol on any Θ that validation accepts, and only validation computes
+the split and hands it on.  Ranks
 (``kraus_from_choi``, :func:`numeric_rank`): a value counts above
 ``rank_rtol`` times the largest.  Memory rank e1: the smallest
 rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
@@ -502,11 +502,18 @@ def _hermitian_spectrum(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
 
 
+def _hermiticity(m: np.ndarray, tol: float) -> tuple:
+    """(||M - M†||, whether it is within ``tol * max(1, ||M||)``): the one
+    Hermiticity rule of the package."""
+    dev = float(np.linalg.norm(m - m.conj().T))
+    return dev, bool(dev <= tol * max(1.0, float(np.linalg.norm(m))))
+
+
 def psd_decompose(op, tol: float = DEFAULT_ATOL,
                   require_psd: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian (optionally PSD) operator.
 
-    Raises ``NotHermitian`` when ``|M - M†|_F > tol * |M|_F`` and, with
+    Raises ``NotHermitian`` when ``|M - M†|_F > tol * max(1, |M|_F)`` and, with
     ``require_psd``, ``NotPSD`` when an eigenvalue falls below ``-tol``.
     The spectrum is that of ``(M + M†)/2``, so a ``LabeledOperator`` and its
     ``matrix`` give the same result.
@@ -514,10 +521,10 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
     m = op.matrix if isinstance(op, LabeledOperator) else np.asarray(op)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("spectral decomposition needs a square matrix")
-    scale = np.linalg.norm(m)
-    herm_dev = np.linalg.norm(m - m.conj().T)
-    if herm_dev > tol * max(scale, 1e-300) and scale > 0:
-        raise NotHermitian(f"deviation {herm_dev:.3e} exceeds {tol:.1e} * |M|")
+    herm_dev, hermitian = _hermiticity(m, tol)
+    if not hermitian:
+        raise NotHermitian(
+            f"deviation {herm_dev:.3e} exceeds {tol:.1e} * max(1, |M|)")
     vals, vecs = _hermitian_spectrum(m, vectors=True)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()

@@ -76,16 +76,16 @@ class SuperchannelChoi:
     TP and NS conditions are checked explicitly by
     :func:`validate_superchannel`.
 
-    The matrix cannot change, so this memoises per ``tol`` what the public
-    functions derive from it, the package's only memo: the
+    The matrix cannot change, so :func:`validate_superchannel` memoises on
+    it per ``tol`` what it derives, the package's only memo: the
     :class:`SuperchannelReport` and the budget-free part of the memory
     split (F, its spectrum, the cost of every rank and the smallest
-    eigenvalue of the kept block that decides CP).  Each is computed on
-    first use, by whichever function asks first; validation splits too, so
-    Θ's own spectrum is only computed when the kept block cannot decide.
+    eigenvalue of the kept block that decides CP).  Only validation fills
+    it, and the split is read only through a valid report, so nothing
+    reads the split of an operator that has not passed.
     """
 
-    __slots__ = ("_op", "_dims", "_reports", "_splits")
+    __slots__ = ("_op", "_dims", "_memo")
 
     def __init__(self, op: LabeledOperator, dims: SuperchannelDims | None = None):
         if op.in_systems != op.out_systems:
@@ -99,8 +99,7 @@ class SuperchannelChoi:
             raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
         object.__setattr__(self, "_op", op)
         object.__setattr__(self, "_dims", found)
-        object.__setattr__(self, "_reports", {})
-        object.__setattr__(self, "_splits", {})
+        object.__setattr__(self, "_memo", {})  # tol -> (report, split)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperchannelChoi is immutable")
@@ -258,12 +257,13 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
             op = LabeledOperator(op.matrix, dims.systems(), dims.systems())
         elif dims != (found := SuperchannelDims(*op.in_systems.dims)):
             raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
-    if theta is not None and tol in theta._reports:
-        return theta._reports[tol]
+    if theta is not None and tol in theta._memo:
+        return theta._memo[tol][0]
     choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
     if theta is None:
         theta = SuperchannelChoi(op)
-    f, *_, kept = _split(theta, tol)
+    split = _split_curve(theta, tol)
+    f, kept = split[0], split[5]
     # (min eigenvalue, δ, e) when the kept block decides, else the full
     # spectrum's (None asks validate_channel for it)
     min_eig, bound, kept_rank = None, 0.0, theta.dims.a1 * theta.dims.b1
@@ -285,11 +285,13 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
         **vars(channel), min_eigenvalue_bound=bound, kept_rank=kept_rank,
         ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev,
     )
-    theta._reports[tol] = report
+    theta._memo[tol] = (report, split)
     return report
 
 
 def _require_valid(theta: SuperchannelChoi, tol: float):
+    """The memory split of Θ, which must pass validation at ``tol``;
+    ``NotAValidSuperchannel`` names each verdict with its witness otherwise."""
     report = validate_superchannel(theta, tol=tol)
     if not report.valid:
         raise NotAValidSuperchannel(
@@ -297,6 +299,7 @@ def _require_valid(theta: SuperchannelChoi, tol: float):
             f"TP={report.tp} (dev {report.tp_deviation:.2e}), "
             f"NS={report.ns} (dev {report.ns_deviation:.2e})"
         )
+    return theta._memo[tol][1]
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +501,10 @@ def f_theta_channel(theta: SuperchannelChoi,
     ``NotAValidSuperchannel`` is raised unless Θ passes
     :func:`validate_superchannel` at it.
     """
-    _require_valid(theta, tol)
+    split = _require_valid(theta, tol)
     d = theta.dims
-    f, w, u, e1 = _memory_split(theta, REALIZE_TOL, tol)
+    f, w, u = split[:3]
+    e1 = _memory_rank(split, REALIZE_TOL)
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     kraus = tuple(LabeledOperator(k, [("A1", d.a1)], [("B1", d.b1)])
                   for k in x.transpose(2, 1, 0))
@@ -521,7 +525,9 @@ def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
 def _split_curve(theta: SuperchannelChoi, tol: float):
     """The budget-free part of the memory split and the CP witness:
     (F, w, u, cost, rank, kept), w and u the spectrum of (F + F†)/2 with w
-    clipped at 0; the split checks nothing, its readers validate Θ first.
+    clipped at 0.  The split checks nothing: :func:`validate_superchannel`
+    is its one caller and keeps it next to the report, and the other readers
+    get it from :func:`_require_valid`, so only once Θ has passed.
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
@@ -564,24 +570,12 @@ def _split_curve(theta: SuperchannelChoi, tol: float):
     return f, w, u, cost, rank, kept
 
 
-def _split(theta: SuperchannelChoi, tol: float):
-    """:func:`_split_curve`, memoised on ``theta`` per ``tol``."""
-    split = theta._splits.get(tol)
-    if split is None:
-        split = theta._splits[tol] = _split_curve(theta, tol)
-    return split
-
-
-def _memory_split(theta: SuperchannelChoi, budget: float, tol: float):
-    """The one memory-rank decision, on F's spectrum: (F, w, u, e1).
-
-    e1 is the smallest rank whose cost on :func:`_split_curve` is at most
-    ``budget``; a zero eigenvalue is never kept.  The curve is memoised on
-    ``theta`` per ``tol``, so each ``budget`` costs one scan of it.
-    """
-    f, w, u, cost, rank, _ = _split(theta, tol)
-    e1 = next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
-    return f, w, u, e1
+def _memory_rank(split, budget: float) -> int:
+    """The one memory-rank decision, on F's spectrum: the smallest rank e1
+    whose cost on the split's curve is at most ``budget``; a zero
+    eigenvalue is never kept."""
+    cost, rank = split[3], split[4]
+    return next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
 
 
 def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
@@ -590,8 +584,7 @@ def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
     The rank of F = Tr_{A2B2} Θ / d_A2 as :func:`realize` cuts it at its
     default ``tol``, so ``memory_cost(theta) == realize(theta).e1_dim``.
     """
-    _require_valid(theta, tol)
-    return _memory_split(theta, REALIZE_TOL, tol)[3]
+    return _memory_rank(_require_valid(theta, tol), REALIZE_TOL)
 
 
 def _nearest_isometry(m: np.ndarray) -> np.ndarray:
@@ -614,10 +607,11 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W matches
     within ``tol`` (relative Frobenius) and V, W pass as isometries.
     """
-    _require_valid(theta, validity_tol)
+    split = _require_valid(theta, validity_tol)
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
-    _, w, u, e1 = _memory_split(theta, tol, validity_tol)
+    w, u = split[1:3]
+    e1 = _memory_rank(split, tol)
 
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
@@ -647,15 +641,13 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
             )
         devs.append(dev)
     v_op = LabeledOperator(v, [("A1", d.a1)], [("E1", e1), ("B1", d.b1)])
-    w_in = [("E1", e1), ("A2", d.a2)]
-    w_op = LabeledOperator(w_mat, w_in, [("E2", e2), ("B2", d.b2)])
-    post_choi = choi_from_kraus(KrausRep(tuple(
-        LabeledOperator(block, w_in, [("B2", d.b2)])
-        for block in w_mat.reshape(e2, d.b2, e1 * d.a2)
-    )))
-    rebuilt = link_product(choi_from_kraus(KrausRep((v_op,))).op,
-                           post_choi.op, out_order=CHOI_ORDER)
-    diff = rebuilt.matrix - theta.op.matrix
+    w_op = LabeledOperator(w_mat, [("E1", e1), ("A2", d.a2)],
+                           [("E2", e2), ("B2", d.b2)])
+    # Θ rebuilt from the comb's family N_k = (W_k ⊗ 1_B1)(1_A2 ⊗ V), W_k the
+    # E2 = k block of W: the columns of n_vecs are the vec(N_k) on A1 A2 B1 B2
+    n_vecs = np.einsum("kyjx,jbz->zxbyk", w_mat.reshape(e2, d.b2, e1, d.a2),
+                       v.reshape(e1, d.b1, d.a1)).reshape(-1, e2)
+    diff = n_vecs @ n_vecs.conj().T - theta.op.matrix
     theta_sq = np.vdot(theta.op.matrix, theta.op.matrix).real
     residual = float(np.sqrt(np.vdot(diff, diff).real / theta_sq))
     if residual > tol:

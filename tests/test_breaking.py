@@ -26,6 +26,7 @@ from superchan.channels import (
 from superchan.errors import (
     DimensionMismatch,
     IncompleteDecomposition,
+    NotAValidSuperchannel,
     NotHermitian,
 )
 from superchan.operators import (
@@ -36,6 +37,7 @@ from superchan.operators import (
     permute_systems,
 )
 from superchan.superchannels import (
+    SuperchannelChoi,
     SuperchannelDims,
     validate_superchannel,
 )
@@ -280,6 +282,14 @@ class TestTypeOneExample:
         with pytest.raises(NotAValidSuperchannel):
             example_type1_not_type2(omega=np.eye(2))
 
+    @pytest.mark.parametrize("omega", [
+        np.array([[0.5, 0.1], [-0.1, 0.5]]),  # trace 1, Hermitian part PSD
+        np.diag([1.5, -0.5]),  # trace 1, Hermitian, not PSD
+    ])
+    def test_non_state_omega_rejected(self, omega):
+        with pytest.raises(NotAValidSuperchannel, match="not a quantum state"):
+            example_type1_not_type2(omega=omega)
+
 
 class TestBreakingReport:
     def test_identity_superchannel_neither_type(self):
@@ -308,6 +318,14 @@ class TestBreakingReport:
             theta = random_eb_superchannel(QUBIT, n_terms=2, seed=seed)
             report = superchannel_breaking_report(theta)
             assert report.type_II.is_ppt
+
+    def test_invalid_superchannel_names_the_failing_condition(self):
+        theta = example_type1_not_type2()
+        # doubling keeps CP and NS and misses TP by ||1_{A1 A2}|| = 2
+        doubled = SuperchannelChoi(theta.op * 2.0)
+        with pytest.raises(NotAValidSuperchannel,
+                           match=r"CP=True .*TP=False \(dev 2\.00e\+00\)"):
+            superchannel_breaking_report(doubled)
 
     def test_exactness_annotation(self):
         theta = example_type1_not_type2()

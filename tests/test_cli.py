@@ -319,6 +319,15 @@ class TestBreaking:
         assert payload["type_II_ppt"] is False
         assert payload["common_cause_breaking"] is True
 
+    def test_invalid_superchannel_exits_2(self, tmp_path, capsys):
+        t1 = str(tmp_path / "t1.json")
+        run(capsys, "gen", "type1-example", "--out", t1)
+        bad = str(tmp_path / "bad.json")
+        save_document(SuperchannelChoi(load_document(t1).op * 2.0), bad)
+        code, out, err = run(capsys, "breaking", bad)
+        assert code == 2 and out == ""
+        assert "TP=False" in err
+
     def test_eb_superchannel_is_type2(self, tmp_path, capsys):
         t = str(tmp_path / "eb.json")
         run(capsys, "gen", "eb-superchannel", "--terms", "2", "--seed", "53",

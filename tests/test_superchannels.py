@@ -15,6 +15,7 @@ from superchan.channels import (
     choi_from_kraus,
     compose_channels,
     kraus_from_choi,
+    link_product,
     random_channel,
     random_density_matrix,
     validate_channel,
@@ -713,10 +714,45 @@ class TestMemo:
 
     def test_split_keeps_one_copy_of_fs_eigenvectors(self):
         theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=8)
-        validate_superchannel(theta)
-        f, _, u, *_ = superchannels._split(theta, 1e-9)
+        f, _, u, *_ = superchannels._require_valid(theta, 1e-9)
         # F is decomposed on its array: u is the split's only eigenvector copy
         assert u.shape == (9, 9)
+
+
+def oracle_residual(theta: SuperchannelChoi, r) -> float:
+    """``realize``'s residual through the channel layer: Θ rebuilt as the
+    link product over E1 of the Choi operators of V and of W's E2 blocks."""
+    d = theta.dims
+    post = choi_from_kraus(KrausRep(tuple(
+        LabeledOperator(block, r.w.in_systems, [("B2", d.b2)])
+        for block in r.w.matrix.reshape(r.e2_dim, d.b2, -1)
+    )))
+    rebuilt = link_product(choi_from_kraus(KrausRep((r.v,))).op, post.op,
+                           out_order=superchannels.CHOI_ORDER)
+    diff = rebuilt.matrix - theta.op.matrix
+    theta_sq = np.vdot(theta.op.matrix, theta.op.matrix).real
+    return float(np.sqrt(np.vdot(diff, diff).real / theta_sq))
+
+
+class TestReconstructionOracle:
+    """realize's self-check on the comb's family N_k = (W_k ⊗ 1)(1 ⊗ V)
+    measures what the link product of the two Choi operators measures."""
+
+    @staticmethod
+    def assert_matches(dims, memory, seed):
+        theta = random_superchannel(SuperchannelDims(*dims), memory, seed=seed)
+        r = realize(theta)
+        assert abs(r.reconstruction_residual - oracle_residual(theta, r)) <= 1e-15
+
+    def test_small_grid(self):
+        grid = itertools.product(itertools.product((1, 2, 3), repeat=4), (1, 2, 3))
+        for seed, (dims, memory) in enumerate(grid):
+            self.assert_matches(dims, memory, seed)
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4, 4), (5, 5, 5, 5), (2, 6, 6, 2)])
+    @pytest.mark.parametrize("memory", [2, 3])
+    def test_large_shapes(self, dims, memory):
+        self.assert_matches(dims, memory, seed=memory)
 
 
 def dims_2112(diagonal, extra=None) -> LabeledOperator:
