@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    GenerationFailed,
     IncompleteDecomposition,
     NotAValidSuperchannel,
     NotHermitian,
@@ -43,7 +42,6 @@ from .superchannels import (
     SuperchannelChoi,
     SuperchannelDims,
     _require_valid,
-    validate_superchannel,
 )
 
 TYPE_I_CUT = (("A1", "B2"), ("B1", "A2"))
@@ -309,8 +307,17 @@ def example_type1_not_type2(d: int = 2, omega: np.ndarray | None = None,
     return SuperchannelChoi(op)
 
 
-def _draw_eb_measure_prepare(dims: SuperchannelDims, n_terms: int,
-                             rng: np.random.Generator) -> MeasurePrepare:
+def random_eb_measure_prepare(dims: SuperchannelDims, n_terms: int,
+                              seed) -> MeasurePrepare:
+    """Measure-and-prepare data behind :func:`random_eb_superchannel`.
+
+    The POVM measures A1 (padded with the identity on A2, which keeps the
+    no-signaling marginal exact) and each outcome prepares a random joint
+    state on B1 B2.  Deterministic per seed.
+    """
+    if n_terms < 1:
+        raise DimensionMismatch(f"n_terms must be >= 1, got {n_terms}")
+    rng = np.random.default_rng(seed)
     effects = []
     for _ in range(n_terms):
         g = rng.standard_normal((dims.a1, dims.a1)) + 1j * rng.standard_normal(
@@ -338,38 +345,16 @@ def _draw_eb_measure_prepare(dims: SuperchannelDims, n_terms: int,
     return MeasurePrepare(povm=tuple(povm), states=tuple(states))
 
 
-def random_eb_measure_prepare(dims: SuperchannelDims, n_terms: int,
-                              seed) -> MeasurePrepare:
-    """Measure-and-prepare data behind :func:`random_eb_superchannel`.
-
-    The POVM measures A1 (padded with the identity on A2, which keeps the
-    no-signaling marginal exact) and each outcome prepares a random joint
-    state on B1 B2.  Deterministic per seed.
+def random_eb_superchannel(dims: SuperchannelDims, n_terms: int,
+                           seed) -> SuperchannelChoi:
+    """Random Type-II separable superchannel, deterministic per seed: the
+    :func:`choi_from_measure_prepare` of :func:`random_eb_measure_prepare`
+    on the same seed, permuted to A1 A2 B1 B2.  A measure-and-prepare
+    superchannel is valid and Type-II separable by construction (Horodecki,
+    Shor and Ruskai, quant-ph/0302031), so the sample is not validated here.
     """
-    if n_terms < 1:
-        raise DimensionMismatch(f"n_terms must be >= 1, got {n_terms}")
-    return _draw_eb_measure_prepare(dims, n_terms, np.random.default_rng(seed))
-
-
-def random_eb_superchannel(dims: SuperchannelDims, n_terms: int, seed,
-                           max_retries: int = 5) -> SuperchannelChoi:
-    """Random Type-II separable superchannel, deterministic per seed.
-
-    Assembled from :func:`random_eb_measure_prepare` terms; every sample is
-    validated and resampled up to ``max_retries`` times before giving up.
-    """
-    if n_terms < 1:
-        raise DimensionMismatch(f"n_terms must be >= 1, got {n_terms}")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
-        mp = _draw_eb_measure_prepare(dims, n_terms, rng)
-        op = choi_from_measure_prepare(mp)
-        candidate = SuperchannelChoi(permute_systems(op, CHOI_ORDER, CHOI_ORDER))
-        if validate_superchannel(candidate).valid:
-            return candidate
-    raise GenerationFailed(
-        f"no valid sample after {max_retries} attempts (seed {seed})"
-    )
+    op = choi_from_measure_prepare(random_eb_measure_prepare(dims, n_terms, seed))
+    return SuperchannelChoi(permute_systems(op, CHOI_ORDER, CHOI_ORDER))
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:

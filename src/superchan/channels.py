@@ -309,17 +309,17 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
 
 def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
                      _min_eigenvalue: float | None = None,
-                     ) -> ChannelValidityReport:
+                     _norm: float | None = None) -> ChannelValidityReport:
     """CP/TP report with recomputable witnesses; never raises on bad input.
 
     ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``.
     Superchannel validation passes the witness it has bounded without the
-    full spectrum as ``_min_eigenvalue``; only the Hermiticity and TP checks
-    run then.
+    full spectrum as ``_min_eigenvalue``, and the ||J||_F it has taken as
+    ``_norm``; only the Hermiticity and TP checks run then.
     """
     j = c.op.matrix
-    scale = max(1.0, float(np.linalg.norm(j)))
-    herm_dev, hermitian = _hermiticity(j, tol)
+    norm = float(np.linalg.norm(j)) if _norm is None else _norm
+    herm_dev, hermitian = _hermiticity(j, tol, norm)
     min_eig = _min_eigenvalue
     if min_eig is None:
         min_eig = float(np.min(_hermitian_spectrum(j, vectors=False)))
@@ -331,7 +331,7 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
         hermitian_deviation=herm_dev,
         cp=cp,
         min_eigenvalue=min_eig,
-        tp=bool(tp_dev <= tol * scale),
+        tp=bool(tp_dev <= tol * max(1.0, norm)),
         tp_deviation=tp_dev,
         tol=tol,
     )

@@ -41,10 +41,6 @@ class IncompleteDecomposition(SuperchanError):
     """Separable terms do not assemble into a complete POVM."""
 
 
-class GenerationFailed(SuperchanError):
-    """Random generation did not produce a valid sample within the retry budget."""
-
-
 class DocumentError(SuperchanError):
     """Base class for on-disk document problems."""
 

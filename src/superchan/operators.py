@@ -18,24 +18,27 @@ function of its inputs.
 Tolerance policy (Frobenius norms).  Hermiticity (one rule,
 :func:`_hermiticity`, for ``validate_*``, :func:`psd_decompose` and the PPT
 tests), TP and NS deviations are relative, within ``tol * max(1, ||J||)``;
-the minimum eigenvalue is absolute, ``>= -tol``.  A superchannel's CP is
-decided on the kept block B of the memory split, the smallest e whose
-weight δ outside it is at most ``tol / 10`` (absolute): λmin(Θ) lies in
-[min(λ_B, 0) - δ, λ_B], so it passes when min(λ_B, 0) - δ >= -tol and
-fails when λ_B < -tol; otherwise Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
+the minimum eigenvalue is absolute, ``>= -tol``.  A superchannel's ||Θ|| is
+taken once, by the memory split, and is the scale of every relative rule on
+Θ: Hermiticity, TP, NS and ``realize``'s residual.  Its CP is decided on the
+kept block B of the memory split, the smallest e whose weight δ outside it
+is at most ``tol / 10`` (absolute): λmin(Θ) lies in [min(λ_B, 0) - δ, λ_B],
+so it passes when min(λ_B, 0) - δ >= -tol and fails when λ_B < -tol;
+otherwise Θ's full spectrum decides.  On a support gap ``min_eigenvalue`` is
 min(λ_B, 0), within δ (rounding level) of the full ``eigvalsh``.  The
 memory split applies no check of its own: it decomposes F's Hermitian part
 and clips its eigenvalues at 0, since λmin(F) >= d_B2·λmin(Θ_h) >=
 -d_B2·tol on any Θ that validation accepts, and only validation computes
-the split and hands it on.  Ranks
-(``kraus_from_choi``, :func:`numeric_rank`): a value counts above
-``rank_rtol`` times the largest.  Memory rank e1: the smallest
-rank whose cut, plus a bound on renormalising V, stays within ``realize``'s
-``tol`` of ||Θ|| (``memory_cost``: its default, 1e-8).  Environment rank e2:
-the Kraus operators of Θ's kept block, counted above ``tol / 10`` times the
-largest (the same budget; 1e-9 at the default).
-``realize``'s self-check: residual relative to ||Θ|| within ``tol``;
-||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the dimension.
+the split and hands it on.  Ranks (``kraus_from_choi``, and
+:func:`numeric_rank`, a public utility and test oracle that the package
+itself never calls): a value counts above ``rank_rtol`` times the largest.
+Memory rank e1: the smallest rank whose cut, plus a bound on renormalising
+V, stays within ``realize``'s ``tol`` of ||Θ|| (``memory_cost``: its
+default, 1e-8).  Environment rank e2: the Kraus operators of Θ's kept
+block, counted above ``tol / 10`` times the largest (the same budget; 1e-9
+at the default).  ``realize``'s self-check: residual relative to ||Θ||
+within ``tol``; ||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the
+dimension.
 """
 
 from __future__ import annotations
@@ -502,11 +505,13 @@ def _hermitian_spectrum(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
 
 
-def _hermiticity(m: np.ndarray, tol: float) -> tuple:
+def _hermiticity(m: np.ndarray, tol: float,
+                 norm: float | None = None) -> tuple:
     """(||M - M†||, whether it is within ``tol * max(1, ||M||)``): the one
-    Hermiticity rule of the package."""
+    Hermiticity rule of the package; ``norm`` is ||M|| if already taken."""
     dev = float(np.linalg.norm(m - m.conj().T))
-    return dev, bool(dev <= tol * max(1.0, float(np.linalg.norm(m))))
+    scale = float(np.linalg.norm(m)) if norm is None else norm
+    return dev, bool(dev <= tol * max(1.0, scale))
 
 
 def psd_decompose(op, tol: float = DEFAULT_ATOL,

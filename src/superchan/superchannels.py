@@ -14,6 +14,7 @@ Validity is the conjunction of three conditions on that operator:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,10 +80,10 @@ class SuperchannelChoi:
     The matrix cannot change, so :func:`validate_superchannel` memoises on
     it per ``tol`` what it derives, the package's only memo: the
     :class:`SuperchannelReport` and the budget-free part of the memory
-    split (F, its spectrum, the cost of every rank and the smallest
-    eigenvalue of the kept block that decides CP).  Only validation fills
-    it, and the split is read only through a valid report, so nothing
-    reads the split of an operator that has not passed.
+    split (F, its spectrum, the cost of every rank, the smallest
+    eigenvalue of the kept block that decides CP, and ||Θ||_F).  Only
+    validation fills it, and the split is read only through a valid report,
+    so nothing reads the split of an operator that has not passed.
     """
 
     __slots__ = ("_op", "_dims", "_memo")
@@ -237,6 +238,9 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     :class:`SuperchannelChoi` keeps its report per ``tol`` and returns the
     kept one on later calls.
 
+    ||Θ||_F is taken once, by the memory split, and scales the Hermiticity,
+    TP and NS rules here and ``realize``'s residual.
+
     CP is decided on the memory split's kept block B: Θ on the first e
     eigenvectors of F = Tr_{A2B2} Θ / d_A2 (tensored with A2 B2), e being
     the smallest rank whose weight δ outside that block is at most
@@ -263,33 +267,32 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     if theta is None:
         theta = SuperchannelChoi(op)
     split = _split_curve(theta, tol)
-    f, kept = split[0], split[5]
     # (min eigenvalue, δ, e) when the kept block decides, else the full
     # spectrum's (None asks validate_channel for it)
     min_eig, bound, kept_rank = None, 0.0, theta.dims.a1 * theta.dims.b1
-    if kept is not None:
-        e, delta, lam = kept
+    if split.kept is not None:
+        e, delta, lam = split.kept
         if min(lam, 0.0) - delta >= -tol or lam < -tol:
             min_eig, bound, kept_rank = min(lam, 0.0), delta, e
-    channel = validate_channel(choi, tol, _min_eigenvalue=min_eig)
+    channel = validate_channel(choi, tol, _min_eigenvalue=min_eig,
+                               _norm=split.norm)
 
     lhs = partial_trace(op, ["B2"])
     rhs = permute_systems(
-        kron(f, identity_operator([("A2", theta.dims.a2)])),
+        kron(split.f, identity_operator([("A2", theta.dims.a2)])),
         ("A1", "A2", "B1"),
         ("A1", "A2", "B1"),
     )
     ns_dev = float(np.linalg.norm(lhs.matrix - rhs.matrix))
-    scale = max(1.0, float(np.linalg.norm(op.matrix)))
     report = SuperchannelReport(
         **vars(channel), min_eigenvalue_bound=bound, kept_rank=kept_rank,
-        ns=bool(ns_dev <= tol * scale), ns_deviation=ns_dev,
+        ns=bool(ns_dev <= tol * max(1.0, split.norm)), ns_deviation=ns_dev,
     )
     theta._memo[tol] = (report, split)
     return report
 
 
-def _require_valid(theta: SuperchannelChoi, tol: float):
+def _require_valid(theta: SuperchannelChoi, tol: float) -> _MemorySplit:
     """The memory split of Θ, which must pass validation at ``tol``;
     ``NotAValidSuperchannel`` names each verdict with its witness otherwise."""
     report = validate_superchannel(theta, tol=tol)
@@ -503,12 +506,11 @@ def f_theta_channel(theta: SuperchannelChoi,
     """
     split = _require_valid(theta, tol)
     d = theta.dims
-    f, w, u = split[:3]
     e1 = _memory_rank(split, REALIZE_TOL)
-    x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
+    x = (split.u[:, :e1] * np.sqrt(split.w[:e1])).reshape(d.a1, d.b1, e1)
     kraus = tuple(LabeledOperator(k, [("A1", d.a1)], [("B1", d.b1)])
                   for k in x.transpose(2, 1, 0))
-    return FThetaChannel(choi=ChoiRep(f, ("A1",), ("B1",)),
+    return FThetaChannel(choi=ChoiRep(split.f, ("A1",), ("B1",)),
                          kraus=kraus, rank=e1)
 
 
@@ -522,22 +524,33 @@ def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
         d.a1 * d.b1, -1)
 
 
-def _split_curve(theta: SuperchannelChoi, tol: float):
-    """The budget-free part of the memory split and the CP witness:
-    (F, w, u, cost, rank, kept), w and u the spectrum of (F + F†)/2 with w
-    clipped at 0.  The split checks nothing: :func:`validate_superchannel`
-    is its one caller and keeps it next to the report, and the other readers
-    get it from :func:`_require_valid`, so only once Θ has passed.
+class _MemorySplit(NamedTuple):
+    """The budget-free part of the memory split, from :func:`_split_curve`."""
+
+    f: LabeledOperator  # F = Tr_{A2B2} Θ / d_A2
+    w: np.ndarray  # spectrum of (F + F†)/2, descending, clipped at 0
+    u: np.ndarray  # its eigenvectors
+    cost: np.ndarray  # cost[e - 1]: the relative cost of keeping e of them
+    rank: int  # count of F's nonzero eigenvalues
+    kept: tuple | None  # (e, δ, λ): the kept block that may decide CP
+    norm: float  # ||Θ||_F, the scale of every relative rule on Θ
+
+
+def _split_curve(theta: SuperchannelChoi, tol: float) -> _MemorySplit:
+    """The memory split of Θ, which checks nothing:
+    :func:`validate_superchannel` is its one caller and keeps it next to the
+    report, and the other readers get it from :func:`_require_valid`, so
+    only once Θ has passed.
 
     ``rot[j, (a2, b2), (a2', b2'), k]`` is Θ in F's eigenbasis u on (A1, B1).
     Keeping e eigenvectors costs, relative to ||Θ||_F, the cut's residual
     (squared: the block norms of rot with max(j, k) >= e) plus δ/(1 - δ),
-    which bounds making V exact when F's dropped weight is δ; ``cost[e - 1]``
-    is that cost for e = 1 .. rank - 1, ``rank`` the count of F's nonzero
-    eigenvalues.  ``kept`` is (e, δ, λ) for the smallest e < n whose
-    absolute residual δ is at most ``tol / 10``, λ the smallest eigenvalue
-    of the Hermitian part of rot's kept e×e block; None when there is no
-    such e.  rot itself is dropped: it is as large as Θ.
+    which bounds making V exact when F's dropped weight is δ; ``cost``
+    holds it for e = 1 .. rank - 1.  ``kept`` is (e, δ, λ) for the smallest
+    e < n whose absolute residual δ is at most ``tol / 10``, λ the smallest
+    eigenvalue of the Hermitian part of rot's kept e×e block; None when
+    there is no such e.  ||Θ||_F is ||rot||_F, u being unitary: the sum of
+    the block norms.  rot itself is dropped: it is as large as Θ.
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
@@ -555,7 +568,8 @@ def _split_curve(theta: SuperchannelChoi, tol: float):
                          weights=blocks.ravel(), minlength=n)
     rank = int(np.count_nonzero(w > 0.0))
     outside = np.cumsum(shells[::-1])[::-1]  # weight beyond the e×e block
-    tails = outside[1:rank] / shells.sum()
+    norm_sq = shells.sum()
+    tails = outside[1:rank] / norm_sq
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))
     cost.setflags(write=False)
@@ -567,15 +581,15 @@ def _split_curve(theta: SuperchannelChoi, tol: float):
         b = rot.reshape(n, m, m, n)[:e, :, :, :e].transpose(0, 1, 3, 2)
         lam = _hermitian_spectrum(b.reshape(e * m, e * m), vectors=False)[0]
         kept = (e, float(deltas[e - 1]), float(lam))
-    return f, w, u, cost, rank, kept
+    return _MemorySplit(f, w, u, cost, rank, kept, float(np.sqrt(norm_sq)))
 
 
-def _memory_rank(split, budget: float) -> int:
+def _memory_rank(split: _MemorySplit, budget: float) -> int:
     """The one memory-rank decision, on F's spectrum: the smallest rank e1
     whose cost on the split's curve is at most ``budget``; a zero
     eigenvalue is never kept."""
-    cost, rank = split[3], split[4]
-    return next((e for e in range(1, rank) if cost[e - 1] <= budget), rank)
+    return next((e for e in range(1, split.rank)
+                 if split.cost[e - 1] <= budget), split.rank)
 
 
 def memory_cost(theta: SuperchannelChoi, *, tol: float = DEFAULT_ATOL) -> int:
@@ -610,7 +624,7 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     split = _require_valid(theta, validity_tol)
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
-    w, u = split[1:3]
+    w, u = split.w, split.u
     e1 = _memory_rank(split, tol)
 
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
@@ -648,8 +662,7 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     n_vecs = np.einsum("kyjx,jbz->zxbyk", w_mat.reshape(e2, d.b2, e1, d.a2),
                        v.reshape(e1, d.b1, d.a1)).reshape(-1, e2)
     diff = n_vecs @ n_vecs.conj().T - theta.op.matrix
-    theta_sq = np.vdot(theta.op.matrix, theta.op.matrix).real
-    residual = float(np.sqrt(np.vdot(diff, diff).real / theta_sq))
+    residual = float(np.sqrt(np.vdot(diff, diff).real) / split.norm)
     if residual > tol:
         raise ResidualTooLarge(
             f"rebuilt superchannel deviates by relative residual {residual:.3e}"

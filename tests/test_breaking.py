@@ -1,5 +1,7 @@
 """Tests for PPT verdicts, EB classification, and measure-and-prepare forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from superchan.breaking import (
     example_type1_not_type2,
     measure_prepare_from_decomposition,
     ppt_test,
+    random_eb_measure_prepare,
     random_eb_superchannel,
     superchannel_breaking_report,
 )
@@ -37,6 +40,7 @@ from superchan.operators import (
     permute_systems,
 )
 from superchan.superchannels import (
+    CHOI_ORDER,
     SuperchannelChoi,
     SuperchannelDims,
     validate_superchannel,
@@ -427,3 +431,17 @@ class TestRandomEbSuperchannel:
     def test_bad_terms(self):
         with pytest.raises(DimensionMismatch):
             random_eb_superchannel(QUBIT, n_terms=0, seed=0)
+
+    def test_every_sample_of_the_grid_is_valid_and_its_certificate(self):
+        # the generator validates nothing: a measure-and-prepare superchannel
+        # is valid by construction, and this grid checks that it is in floats
+        for dims in itertools.product((1, 2, 3), repeat=4):
+            d = SuperchannelDims(*dims)
+            for n_terms, seed in itertools.product((1, 2, 3), range(4)):
+                theta = random_eb_superchannel(d, n_terms, seed)
+                assert validate_superchannel(theta).valid, (dims, n_terms, seed)
+                mp = random_eb_measure_prepare(d, n_terms, seed)
+                op = permute_systems(choi_from_measure_prepare(mp),
+                                     CHOI_ORDER, CHOI_ORDER)
+                assert op.in_systems == theta.op.in_systems
+                assert op.matrix.tobytes() == theta.op.matrix.tobytes()

@@ -377,7 +377,7 @@ class TestExitCodes:
 
         usage = (DocumentError, DimensionMismatch, UnknownLabel)
         errors = list(subclasses(SuperchanError))
-        assert len(errors) >= 13
+        assert len(errors) >= 12
         for error in errors:
             def fail(args, error=error):
                 raise error("boom")
