@@ -22,6 +22,7 @@ from .operators import (
     _handed_over,
     _hermitian_spectrum,
     _hermiticity,
+    _isometry,
     _positions,
     mat,
     partial_trace,
@@ -194,8 +195,8 @@ def kraus_from_choi(c: ChoiRep, tol: float = DEFAULT_ATOL,
     return KrausRep(tuple(ops))
 
 
-def stinespring_from_kraus(k: KrausRep, tol: float = DEFAULT_ATOL,
-                           env_label: str = "E") -> StinespringRep:
+def stinespring_from_kraus(k: KrausRep,
+                           tol: float = DEFAULT_ATOL) -> StinespringRep:
     """Stack the Kraus blocks into V = sum_i K_i ⊗ |i>_E; env dim = len(k)."""
     r = len(k.ops)
     blocks = np.stack([op.matrix for op in k.ops])  # (r, d_out, d_in)
@@ -203,13 +204,11 @@ def stinespring_from_kraus(k: KrausRep, tol: float = DEFAULT_ATOL,
     v = blocks.transpose(1, 0, 2).reshape(
         k.out_systems.total_dim * r, k.in_systems.total_dim
     )
-    dev = np.linalg.norm(v.conj().T @ v - np.eye(k.in_systems.total_dim))
-    if dev > tol * max(1.0, np.linalg.norm(v) ** 2):
+    dev, isometry = _isometry(v, tol)
+    if not isometry:
         raise NotTP(f"Kraus completeness deviation {dev:.3e} exceeds tolerance")
-    out_sys = list(k.out_systems) + [(env_label, r)]
-    return StinespringRep(
-        LabeledOperator(v, k.in_systems, out_sys), env_label
-    )
+    out_sys = list(k.out_systems) + [("E", r)]
+    return StinespringRep(LabeledOperator(v, k.in_systems, out_sys))
 
 
 def kraus_from_stinespring(s: StinespringRep,
@@ -217,8 +216,8 @@ def kraus_from_stinespring(s: StinespringRep,
     """K_i = (1 ⊗ <i|_E) V; always returns env_dim operators (zeros allowed)."""
     v = s.v.matrix
     d_in = s.in_systems.total_dim
-    dev = np.linalg.norm(v.conj().T @ v - np.eye(d_in))
-    if dev > tol * max(1.0, np.linalg.norm(v) ** 2):
+    dev, isometry = _isometry(v, tol)
+    if not isometry:
         raise NotIsometry(f"V†V deviates from identity by {dev:.3e}")
     r = s.env_dim
     d_out = s.out_systems.total_dim
@@ -315,10 +314,15 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
     ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``.
     Superchannel validation passes the witness it has bounded without the
     full spectrum as ``_min_eigenvalue``, and the ||J||_F it has taken as
-    ``_norm``; only the Hermiticity and TP checks run then.
+    ``_norm``; only the Hermiticity and TP checks run then.  A J with a
+    non-finite entry (||J|| not finite) gets no spectrum: every verdict is
+    False and every witness NaN.
     """
     j = c.op.matrix
     norm = float(np.linalg.norm(j)) if _norm is None else _norm
+    if not np.isfinite(norm):
+        nan = float("nan")
+        return ChannelValidityReport(False, nan, False, nan, False, nan, tol)
     herm_dev, hermitian = _hermiticity(j, tol, norm)
     min_eig = _min_eigenvalue
     if min_eig is None:

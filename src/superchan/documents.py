@@ -70,10 +70,9 @@ def _channel_systems(in_systems, out_systems):
     )
 
 
-def document_from_object(obj, kind: str | None = None,
-                         metadata: dict | None = None) -> dict:
-    """Build the document dictionary for any supported object."""
-    metadata = {str(k): str(v) for k, v in (metadata or {}).items()}
+def document_from_object(obj, kind: str | None = None) -> dict:
+    """Build the document dictionary for any supported object; its
+    ``metadata`` field is always empty."""
     if isinstance(obj, SuperchannelChoi):
         kind = kind or "superchannel-choi"
         systems = _channel_systems(obj.op.in_systems[:2], obj.op.in_systems[2:])
@@ -128,7 +127,7 @@ def document_from_object(obj, kind: str | None = None,
         "kind": kind,
         "systems": systems,
         "matrices": matrices,
-        "metadata": metadata,
+        "metadata": {},
     }
 
 
@@ -140,12 +139,11 @@ def document_bytes(doc: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def save_document(obj, path, kind: str | None = None,
-                  metadata: dict | None = None) -> None:
-    """Write an object to ``path``; byte-deterministic for identical inputs."""
-    doc = obj if isinstance(obj, dict) else document_from_object(obj, kind, metadata)
+def save_document(obj, path, kind: str | None = None) -> None:
+    """Write the document of an object to ``path``; byte-deterministic for
+    identical inputs."""
     with open(path, "wb") as fh:
-        fh.write(document_bytes(doc))
+        fh.write(document_bytes(document_from_object(obj, kind)))
 
 
 # ----------------------------------------------------------------------

@@ -37,8 +37,12 @@ V, stays within ``realize``'s ``tol`` of ||Θ|| (``memory_cost``: its
 default, 1e-8).  Environment rank e2: the Kraus operators of Θ's kept
 block, counted above ``tol / 10`` times the largest (the same budget; 1e-9
 at the default).  ``realize``'s self-check: residual relative to ||Θ||
-within ``tol``; ||V†V - 1||, ||W†W - 1|| absolute, within ``tol`` times the
-dimension.
+within ``tol``.  Isometries (one rule, :func:`_isometry`, for ``realize``'s
+V and W and the Stinespring ↔ Kraus conversions): ||V†V - 1|| within
+``tol * max(1, d_in)``.  POVM completeness
+(``measure_prepare_from_decomposition``): ||ΣM - 1|| within
+``max(tol, 1e-10) * max(1, ||ΣM||)``.  A non-finite operator fails every
+validity check, with NaN witnesses and no spectrum taken.
 """
 
 from __future__ import annotations
@@ -249,10 +253,6 @@ class LabeledOperator:
             raise DimensionMismatch("trace of a non-square operator")
         return complex(np.trace(self._matrix))
 
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self._matrix))
-
     def scalar(self) -> complex:
         if self._matrix.size != 1:
             raise DimensionMismatch("operator is not a scalar")
@@ -263,19 +263,6 @@ class LabeledOperator:
         new_in = [(mapping.get(s.label, s.label), s.dim) for s in self._in]
         new_out = [(mapping.get(s.label, s.label), s.dim) for s in self._out]
         return LabeledOperator(self._matrix, new_in, new_out)
-
-    def allclose(self, other: "LabeledOperator", atol: float = DEFAULT_ATOL,
-                 align: bool = True) -> bool:
-        """Entrywise comparison; with ``align`` the other operator is first
-        permuted (by label) into this operator's system order."""
-        if align and (self._in != other._in or self._out != other._out):
-            if (set(self._in.labels) != set(other._in.labels)
-                    or set(self._out.labels) != set(other._out.labels)):
-                return False
-            other = permute_systems(other, self._in.labels, self._out.labels)
-        if self._in != other._in or self._out != other._out:
-            return False
-        return bool(np.allclose(self._matrix, other._matrix, atol=atol, rtol=0.0))
 
 
 def _handed_over(arr: np.ndarray, in_systems, out_systems,
@@ -487,15 +474,14 @@ def permute_systems(op: LabeledOperator, new_in, new_out) -> LabeledOperator:
 class SpectralDecomposition:
     """Eigendecomposition with fixed ordering and phase conventions.
 
-    Eigenvalues are real and sorted descending; values in ``[-clip_tol, 0)``
-    are clipped to zero.  Each eigenvector's first component of magnitude
-    above ``clip_tol`` is made real and positive, so the output is
+    Eigenvalues are real and sorted descending; :func:`psd_decompose`
+    clips those in ``[-tol, 0)`` to zero and makes each eigenvector's first
+    component of magnitude above ``tol`` real and positive, so the output is
     deterministic for non-degenerate spectra.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clip_tol: float
 
 
 def _hermitian_spectrum(m: np.ndarray, vectors: bool):
@@ -514,6 +500,14 @@ def _hermiticity(m: np.ndarray, tol: float,
     return dev, bool(dev <= tol * max(1.0, scale))
 
 
+def _isometry(v: np.ndarray, tol: float) -> tuple:
+    """(||V†V - 1||, whether it is within ``tol * max(1, d_in)``), d_in the
+    column count of V: the one isometry rule of the package."""
+    d_in = v.shape[1]
+    dev = float(np.linalg.norm(v.conj().T @ v - np.eye(d_in)))
+    return dev, bool(dev <= tol * max(1.0, d_in))
+
+
 def psd_decompose(op, tol: float = DEFAULT_ATOL,
                   require_psd: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian (optionally PSD) operator.
@@ -521,7 +515,7 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
     Raises ``NotHermitian`` when ``|M - M†|_F > tol * max(1, |M|_F)`` and, with
     ``require_psd``, ``NotPSD`` when an eigenvalue falls below ``-tol``.
     The spectrum is that of ``(M + M†)/2``, so a ``LabeledOperator`` and its
-    ``matrix`` give the same result.
+    ``matrix`` give the same result; eigenvalues in ``[-tol, 0)`` become 0.
     """
     m = op.matrix if isinstance(op, LabeledOperator) else np.asarray(op)
     if m.shape[0] != m.shape[1]:
@@ -544,7 +538,7 @@ def psd_decompose(op, tol: float = DEFAULT_ATOL,
         vecs[:, fixed] *= (pivot / np.hypot(pivot.real, pivot.imag)).conj()
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(vals, vecs, tol)
+    return SpectralDecomposition(vals, vecs)
 
 
 def numeric_rank(op, rtol: float = DEFAULT_RANK_RTOL) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAValidSuperchannel, ResidualTooLarge
 from .channels import (
+    ChannelValidityReport,
     ChoiRep,
     KrausRep,
     LiouvilleRep,
@@ -35,10 +36,10 @@ from .channels import (
 )
 from .operators import (
     DEFAULT_ATOL,
-    DEFAULT_RANK_RTOL,
     LabeledOperator,
     SystemList,
     _hermitian_spectrum,
+    _isometry,
     identity_operator,
     kron,
     partial_mat,
@@ -88,18 +89,15 @@ class SuperchannelChoi:
 
     __slots__ = ("_op", "_dims", "_memo")
 
-    def __init__(self, op: LabeledOperator, dims: SuperchannelDims | None = None):
+    def __init__(self, op: LabeledOperator):
         if op.in_systems != op.out_systems:
             raise DimensionMismatch("superchannel Choi operator must be square")
         if op.in_systems.labels != CHOI_ORDER:
             raise DimensionMismatch(
                 f"systems must be {CHOI_ORDER}, got {op.in_systems.labels}"
             )
-        found = SuperchannelDims(*op.in_systems.dims)
-        if dims is not None and dims != found:
-            raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
         object.__setattr__(self, "_op", op)
-        object.__setattr__(self, "_dims", found)
+        object.__setattr__(self, "_dims", SuperchannelDims(*op.in_systems.dims))
         object.__setattr__(self, "_memo", {})  # tol -> (report, split)
 
     def __setattr__(self, name, value):
@@ -119,31 +117,25 @@ class SuperchannelChoi:
 
 
 @dataclass(frozen=True)
-class SuperchannelReport:
-    """Independent CP / TP / NS verdicts with their deviation witnesses.
+class SuperchannelReport(ChannelValidityReport):
+    """The channel report of Θ read as (A1, A2) -> (B1, B2), plus NS.
 
     ``min_eigenvalue`` lies within ``min_eigenvalue_bound`` of the smallest
     eigenvalue of (Θ + Θ†)/2; it is read off the block of Θ on the first
     ``kept_rank`` eigenvectors of F (see :func:`validate_superchannel`).
     From the full spectrum the bound is 0.0 and ``kept_rank`` is
-    d_A1·d_B1, all of F.
+    d_A1·d_B1, all of F.  On a non-finite Θ no spectrum is taken: every
+    verdict is False, every witness NaN and ``kept_rank`` 0.
     """
 
-    hermitian: bool
-    hermitian_deviation: float
-    cp: bool
-    min_eigenvalue: float
     min_eigenvalue_bound: float
     kept_rank: int
-    tp: bool
-    tp_deviation: float
     ns: bool
     ns_deviation: float
-    tol: float
 
     @property
     def valid(self) -> bool:
-        return self.hermitian and self.cp and self.tp and self.ns
+        return super().valid and self.ns
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,9 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     kept one on later calls.
 
     ||Θ||_F is taken once, by the memory split, and scales the Hermiticity,
-    TP and NS rules here and ``realize``'s residual.
+    TP and NS rules here and ``realize``'s residual.  A Θ with a non-finite
+    entry gets no split: every verdict fails, with NaN witnesses, and the
+    readers of the split raise ``NotAValidSuperchannel``.
 
     CP is decided on the memory split's kept block B: Θ on the first e
     eigenvectors of F = Tr_{A2B2} Θ / d_A2 (tensored with A2 B2), e being
@@ -266,6 +260,14 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
     if theta is None:
         theta = SuperchannelChoi(op)
+    if not np.isfinite(op.matrix).all():
+        nan = float("nan")
+        report = SuperchannelReport(
+            **vars(validate_channel(choi, tol, _norm=nan)),
+            min_eigenvalue_bound=nan, kept_rank=0, ns=False, ns_deviation=nan,
+        )
+        theta._memo[tol] = (report, None)
+        return report
     split = _split_curve(theta, tol)
     # (min eigenvalue, δ, e) when the kept block decides, else the full
     # spectrum's (None asks validate_channel for it)
@@ -386,15 +388,16 @@ def choi_from_gour(gour: LabeledOperator) -> SuperchannelChoi:
 # spectral operator family and the three derived representations
 # ----------------------------------------------------------------------
 
-def n_operators(theta: SuperchannelChoi, tol: float = DEFAULT_ATOL,
-                rank_rtol: float = DEFAULT_RANK_RTOL) -> SuperKrausFamily:
+def n_operators(theta: SuperchannelChoi,
+                tol: float = DEFAULT_ATOL) -> SuperKrausFamily:
     """Minimal operator family with sum_i vec(N_i) vec(N_i)† = J.
 
-    The count equals the numeric rank of the Choi operator.  Raises
-    ``NotPSD`` when the operator is not positive semidefinite at ``tol``.
+    The count equals the numeric rank of the Choi operator at
+    ``DEFAULT_RANK_RTOL``.  Raises ``NotPSD`` when the operator is not
+    positive semidefinite at ``tol``.
     """
     as_bipartite = ChoiRep(theta.op, CHOI_ORDER[:2], CHOI_ORDER[2:])
-    kr = kraus_from_choi(as_bipartite, tol=tol, rank_rtol=rank_rtol)
+    kr = kraus_from_choi(as_bipartite, tol=tol)
     n_ops = kr.ops
     q_ops = tuple(partial_mat(n, "B1") for n in n_ops)
     k_ops = tuple(partial_mat(partial_vec(n, "A1"), "B1") for n in n_ops)
@@ -438,8 +441,7 @@ def q_apply_to_state(family: SuperKrausFamily, e: ChoiRep,
     return apply_channel(KrausRep(family.q_ops), big).matrix
 
 
-def super_stinespring(family: SuperKrausFamily,
-                      env_label: str = "E") -> LabeledOperator:
+def super_stinespring(family: SuperKrausFamily) -> LabeledOperator:
     """Dilation operator stacking the Q layouts: (B1, A1, A2) -> (B2, E).
 
     It obeys the relaxed normalization Tr_B1[V†V] = 1 on A1 ⊗ A2 rather than
@@ -451,7 +453,7 @@ def super_stinespring(family: SuperKrausFamily,
     blocks = np.stack([q.matrix for q in family.q_ops])  # (r, b2, b1*a1*a2)
     v = blocks.transpose(1, 0, 2).reshape(d.b2 * r, d.b1 * d.a1 * d.a2)
     in_sys = SystemList([("B1", d.b1), ("A1", d.a1), ("A2", d.a2)])
-    out_sys = SystemList([("B2", d.b2), (env_label, r)])
+    out_sys = SystemList([("B2", d.b2), ("E", r)])
     return LabeledOperator(v, in_sys, out_sys)
 
 
@@ -648,8 +650,8 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
 
     devs = []
     for name, iso in (("pre", v), ("post", w_mat)):
-        dev = float(np.linalg.norm(iso.conj().T @ iso - np.eye(iso.shape[1])))
-        if dev > tol * max(1.0, iso.shape[1]):
+        dev, isometry = _isometry(iso, tol)
+        if not isometry:
             raise ResidualTooLarge(
                 f"{name}-processing map deviates from an isometry by {dev:.3e}"
             )
@@ -678,8 +680,7 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
 # ----------------------------------------------------------------------
 
 def random_superchannel(dims: SuperchannelDims, memory_dim: int, seed,
-                        pre_rank: int | None = None,
-                        post_rank: int | None = None) -> SuperchannelChoi:
+                        pre_rank: int | None = None) -> SuperchannelChoi:
     """Random superchannel assembled from random pre/post channels.
 
     Deterministic per seed; the result passes the CP/TP/NS validation by
@@ -694,9 +695,9 @@ def random_superchannel(dims: SuperchannelDims, memory_dim: int, seed,
     if pre_rank * pre_out < d.a1:
         pre_rank = -(-d.a1 // pre_out)
     post_in = memory_dim * d.a2
-    post_rank = post_rank if post_rank is not None else min(2, post_in * d.b2)
-    if post_rank * d.b2 < post_in:
-        post_rank = -(-post_in // d.b2)
+    post_kraus_rank = min(2, post_in * d.b2)
+    if post_kraus_rank * d.b2 < post_in:
+        post_kraus_rank = -(-post_in // d.b2)
     pre = choi_from_kraus(
         random_channel(
             d.a1, pre_out, pre_rank, rng,
@@ -706,7 +707,7 @@ def random_superchannel(dims: SuperchannelDims, memory_dim: int, seed,
     )
     post = choi_from_kraus(
         random_channel(
-            post_in, d.b2, post_rank, rng,
+            post_in, d.b2, post_kraus_rank, rng,
             in_systems=[("E1", memory_dim), ("A2", d.a2)],
             out_systems=[("B2", d.b2)],
         )

@@ -184,7 +184,7 @@ def oracle_adjoint_memory_rank(theta: SuperchannelChoi,
     the Choi operator's spectral family; independent of the (A1, B1)
     marginal that ``memory_cost`` decides on.
     """
-    family = n_operators(theta, rank_rtol=rtol)
+    family = n_operators(theta)
     d = theta.dims
     adjoint_systems = SystemList(
         [("A1", d.a1), ("B2", d.b2), ("B1", d.b1), ("A2", d.a2)]

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestGenerateAndValidate:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         run(capsys, "gen", "channel", "--seed", "11", "--out", p1)
         run(capsys, "gen", "channel", "--seed", "11", "--out", p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_gen_to_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "depolarizing", "--p", "0.5")
@@ -188,10 +189,10 @@ class TestApplyComposeGour:
         run(capsys, "gen", "superchannel", "--seed", "37", "--out", theta)
         code, _, _ = run(capsys, "gour", theta, "--out", g)
         assert code == 0
-        assert json.loads(open(g).read())["kind"] == "gour"
+        assert json.loads(pathlib.Path(g).read_text())["kind"] == "gour"
         code, _, _ = run(capsys, "gour", g, "--inverse", "--out", back)
         assert code == 0
-        assert open(theta, "rb").read() == open(back, "rb").read()
+        assert pathlib.Path(theta).read_bytes() == pathlib.Path(back).read_bytes()
 
 
 class TestRealizeAndMemory:

@@ -836,6 +836,55 @@ class TestKeptBlockWitness:
             SuperchannelChoi(make()))
 
 
+def non_finite(case) -> LabeledOperator:
+    """eye(16)/4 at (2,2,2,2) with a NaN at [0,0] or [0,1], or inf·eye(16)
+    (whose zeros become NaN)."""
+    if case == "inf":
+        m = np.inf * np.eye(16)
+    else:
+        m = np.eye(16) / 4
+        m[(0, 0) if case == "nan00" else (0, 1)] = np.nan
+    return LabeledOperator(m, QUBIT.systems(), QUBIT.systems())
+
+
+NON_FINITE = ["nan00", "nan01", pytest.param(
+    "inf", marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in multiply:RuntimeWarning"))]
+
+
+class TestNonFinite:
+    """A non-finite operator fails every check, with NaN witnesses, instead
+    of raising from inside the spectral code."""
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_validate_superchannel_reports(self, case):
+        theta = SuperchannelChoi(non_finite(case))
+        report = validate_superchannel(theta)
+        assert not any((report.hermitian, report.cp, report.tp, report.ns,
+                        report.valid))
+        assert np.isnan([report.hermitian_deviation, report.min_eigenvalue,
+                         report.min_eigenvalue_bound, report.tp_deviation,
+                         report.ns_deviation]).all()
+        assert report.kept_rank == 0
+        assert theta._memo[1e-9][1] is None  # no split kept
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_validate_channel_reports(self, case):
+        report = validate_channel(
+            ChoiRep(non_finite(case), ("A1", "A2"), ("B1", "B2")))
+        assert not any((report.hermitian, report.cp, report.tp, report.valid))
+        assert np.isnan([report.hermitian_deviation, report.min_eigenvalue,
+                         report.tp_deviation]).all()
+
+    @pytest.mark.parametrize("reader", [
+        memory_cost, realize, f_theta_channel, superchannel_breaking_report,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_readers_raise_not_a_valid_superchannel(self, case, reader):
+        with pytest.raises(NotAValidSuperchannel, match="min eig nan"):
+            reader(SuperchannelChoi(non_finite(case)))
+
+
 class TestRandomSuperchannel:
     def test_deterministic(self):
         a = random_superchannel(QUBIT, memory_dim=2, seed=91)
