@@ -19,11 +19,11 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _as_system_list,
-    _handed_over,
     _hermitian_spectrum,
     _hermiticity,
     _isometry,
     _positions,
+    _regrouped,
     mat,
     partial_trace,
     partial_transpose,
@@ -306,6 +306,7 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
 # validity and application
 # ----------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # an overflowing norm is inf, and so fails
 def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
                      _min_eigenvalue: float | None = None,
                      _norm: float | None = None) -> ChannelValidityReport:
@@ -314,9 +315,10 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
     ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``.
     Superchannel validation passes the witness it has bounded without the
     full spectrum as ``_min_eigenvalue``, and the ||J||_F it has taken as
-    ``_norm``; only the Hermiticity and TP checks run then.  A J with a
-    non-finite entry (||J|| not finite) gets no spectrum: every verdict is
-    False and every witness NaN.
+    ``_norm``; only the Hermiticity and TP checks run then.  A J whose ||J||
+    is not finite (a non-finite entry, or entries whose squares overflow)
+    gets no spectrum: every verdict is False and every witness NaN.  A
+    deviation whose norm overflows is inf and fails its check.
     """
     j = c.op.matrix
     norm = float(np.linalg.norm(j)) if _norm is None else _norm
@@ -406,37 +408,35 @@ def link_product(m: LabeledOperator, n: LabeledOperator,
                 or n.out_systems.dim_of(l) != n.in_systems.dim_of(l)):
             raise DimensionMismatch(f"operands disagree on shared label {l!r}")
     # entry sum: result[(x,y),(x',y')] = sum_{c,c'} m[(x,c),(x',c')] n[(c,y),(c',y')]
-    m_out, m_in, n_out, n_in = (
-        m.out_systems, m.in_systems, n.out_systems, n.in_systems
-    )
-    m_axes = [m_out.index(l) for l in shared] + [
-        len(m_out) + m_in.index(l) for l in shared
-    ]
-    n_axes = [n_out.index(l) for l in shared] + [
-        len(n_out) + n_in.index(l) for l in shared
-    ]
-    res = np.tensordot(m.as_tensor(), n.as_tensor(), axes=(m_axes, n_axes))
+    def copies(op):  # axes of op's output, then input, copies of shared
+        return ([op.out_systems.index(l) for l in shared]
+                + [len(op.out_systems) + op.in_systems.index(l) for l in shared])
+    res = np.tensordot(m.as_tensor(), n.as_tensor(),
+                       axes=(copies(m), copies(n)))
     # the free axes of res are m's kept outputs, m's kept inputs, then n's
-    kept = [
-        [s for s in systems if s.label not in shared]
-        for systems in (m_out, m_in, n_out, n_in)
-    ]
+    kept = [[s for s in systems if s.label not in shared]
+            for systems in (m.out_systems, m.in_systems, n.out_systems,
+                            n.in_systems)]
     free = iter(range(res.ndim))
     mo, mi, no, ni = ([next(free) for _ in group] for group in kept)
     out_axes, in_axes = mo + no, mi + ni
-    out_sys = SystemList(kept[0] + kept[2])
-    in_sys = SystemList(kept[1] + kept[3])
     if out_order is not None:
-        in_pos = _positions(in_sys, out_order, "inputs")
+        out_sys = SystemList(kept[0] + kept[2])  # duplicate outputs fail first
+        in_pos = _positions(SystemList(kept[1] + kept[3]), out_order, "inputs")
         out_pos = _positions(out_sys, out_order, "outputs")
         in_axes = [in_axes[i] for i in in_pos]
         out_axes = [out_axes[i] for i in out_pos]
-        in_sys = SystemList([in_sys[i] for i in in_pos])
-        out_sys = SystemList([out_sys[i] for i in out_pos])
-    res = res.transpose(out_axes + in_axes).reshape(
-        out_sys.total_dim, in_sys.total_dim
-    )
-    return _handed_over(res, in_sys, out_sys, m, n)
+    return _regrouped(res, kept[0] + kept[1] + kept[2] + kept[3], out_axes,
+                      in_axes, m, n)
+
+
+def _fresh_label(label: str, used: set) -> str:
+    """``label`` with ``'`` appended until it is not in ``used``, which then
+    holds it: the one rule for renaming a leg that would collide."""
+    while label in used:
+        label += "'"
+    used.add(label)
+    return label
 
 
 def compose_channels(e2: ChoiRep, e1: ChoiRep) -> ChoiRep:
@@ -447,13 +447,8 @@ def compose_channels(e2: ChoiRep, e1: ChoiRep) -> ChoiRep:
             f"cannot compose: {e1.out_systems.dims} feeds {e2.in_systems.dims}"
         )
     used = set(e1.input_labels) | set(mids)
-    out_map, outs = {}, []
-    for l in e2.output_labels:
-        new = l
-        while new in used:
-            new = new + "'"
-        out_map[l], used = new, used | {new}
-        outs.append(new)
+    outs = [_fresh_label(l, used) for l in e2.output_labels]
+    out_map = dict(zip(e2.output_labels, outs))
     second = e2.relabeled(dict(zip(e2.input_labels, mids)) | out_map)
     order = tuple(e1.input_labels) + tuple(outs)
     linked = link_product(e1.op, second.op, out_order=order)

@@ -244,11 +244,10 @@ def _split_roles(systems):
 def load_document(path):
     """Load a document and return the typed in-memory object."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        try:  # the file's bytes are freed once parsed, before decoding
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     return object_from_document(doc)
 
 

@@ -9,8 +9,10 @@ Conventions used throughout the package:
   unnormalized maximally entangled pair ``|gamma> = sum_i |ii>`` this is
   ``vec(M) = (1 ⊗ M)|gamma>``, and the transpose rule
   ``(X ⊗ Y) vec(M) = vec(Y M X^T)`` holds.
-* All reindexing operations (vec/mat, partial variants, permutations, partial
-  transpose) move entries without arithmetic, so round trips are bit exact.
+* All reindexing operations move entries without arithmetic, so round trips
+  are bit exact.  vec/mat, their partial variants, ``permute_systems`` and
+  the link product's output share one regrouping rule, :func:`_regrouped`;
+  ``partial_transpose`` swaps paired legs in place, keeping its system lists.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -41,8 +43,9 @@ within ``tol``.  Isometries (one rule, :func:`_isometry`, for ``realize``'s
 V and W and the Stinespring ↔ Kraus conversions): ||V†V - 1|| within
 ``tol * max(1, d_in)``.  POVM completeness
 (``measure_prepare_from_decomposition``): ||ΣM - 1|| within
-``max(tol, 1e-10) * max(1, ||ΣM||)``.  A non-finite operator fails every
-validity check, with NaN witnesses and no spectrum taken.
+``max(tol, 1e-10) * max(1, ||ΣM||)``.  An operator whose ||·||_F is not
+finite (a non-finite entry, or an overflow) fails every validity check,
+with NaN witnesses and no spectrum taken; a deviation that overflows is inf.
 """
 
 from __future__ import annotations
@@ -211,6 +214,10 @@ class LabeledOperator:
         """View with one axis per leg, output legs first then input legs."""
         return self._matrix.reshape(self._out.dims + self._in.dims)
 
+    def _legs(self) -> tuple:
+        """The :class:`System` of each axis of :meth:`as_tensor`."""
+        return self._out._systems + self._in._systems
+
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -278,6 +285,19 @@ def _handed_over(arr: np.ndarray, in_systems, out_systems,
     return op
 
 
+def _regrouped(t: np.ndarray, legs, out_axes: list, in_axes: list,
+               *sources: LabeledOperator) -> LabeledOperator:
+    """The one regrouping rule: the operator whose outputs are the axes
+    ``out_axes`` of the tensor ``t`` and inputs ``in_axes``, in that order,
+    ``legs[a]`` being axis a's :class:`System`.  One transpose and one
+    reshape, no arithmetic; the result shares no memory with ``sources``."""
+    out_sys = SystemList([legs[a] for a in out_axes])
+    in_sys = SystemList([legs[a] for a in in_axes])
+    m = t.transpose(out_axes + in_axes).reshape(out_sys.total_dim,
+                                                in_sys.total_dim)
+    return _handed_over(m, in_sys, out_sys, *sources)
+
+
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
@@ -322,11 +342,9 @@ def vec(op: LabeledOperator) -> LabeledOperator:
         raise DimensionMismatch(
             f"vec needs disjoint input/output labels, shared: {sorted(overlap)}"
         )
-    n_out, n_in = len(op.out_systems), len(op.in_systems)
-    t = op.as_tensor()
-    order = list(range(n_out, n_out + n_in)) + list(range(n_out))
-    v = t.transpose(order).reshape(-1, 1)
-    return LabeledOperator(v, [], list(op.in_systems) + list(op.out_systems))
+    legs, n_out = op._legs(), len(op.out_systems)
+    return _regrouped(op.as_tensor(), legs,
+                      [*range(n_out, len(legs)), *range(n_out)], [], op)
 
 
 def mat(v: LabeledOperator, split) -> LabeledOperator:
@@ -344,12 +362,8 @@ def mat(v: LabeledOperator, split) -> LabeledOperator:
             f"split {labels} is not a prefix of {v.out_systems.labels}"
         )
     k = len(labels)
-    in_sys = v.out_systems[:k]
-    out_sys = v.out_systems[k:]
-    t = v.as_tensor().reshape(v.out_systems.dims)
-    order = list(range(k, len(v.out_systems))) + list(range(k))
-    m = t.transpose(order).reshape(out_sys.total_dim, in_sys.total_dim)
-    return LabeledOperator(m, in_sys, out_sys)
+    return _regrouped(v.as_tensor(), v._legs(),
+                      list(range(k, len(v.out_systems))), list(range(k)), v)
 
 
 def partial_vec(op: LabeledOperator, label: str) -> LabeledOperator:
@@ -363,16 +377,10 @@ def partial_vec(op: LabeledOperator, label: str) -> LabeledOperator:
     i = op.in_systems.index(label)
     if label in op.out_systems.labels:
         raise DimensionMismatch(f"label {label!r} already an output")
-    n_out = len(op.out_systems)
-    t = op.as_tensor()
-    order = [n_out + i] + list(range(n_out)) + [
-        n_out + j for j in range(len(op.in_systems)) if j != i
-    ]
-    new_out = [op.in_systems[i]] + list(op.out_systems)
-    new_in = [s for j, s in enumerate(op.in_systems) if j != i]
-    total_out = op.in_systems[i].dim * op.out_systems.total_dim
-    m = t.transpose(order).reshape(total_out, -1)
-    return LabeledOperator(m, new_in, new_out)
+    legs, n_out = op._legs(), len(op.out_systems)
+    ins = list(range(n_out, len(legs)))
+    moved = ins.pop(i)
+    return _regrouped(op.as_tensor(), legs, [moved, *range(n_out)], ins, op)
 
 
 def partial_mat(op: LabeledOperator, label: str) -> LabeledOperator:
@@ -380,16 +388,11 @@ def partial_mat(op: LabeledOperator, label: str) -> LabeledOperator:
     i = op.out_systems.index(label)
     if label in op.in_systems.labels:
         raise DimensionMismatch(f"label {label!r} already an input")
-    n_out = len(op.out_systems)
-    t = op.as_tensor()
-    order = [j for j in range(n_out) if j != i] + [i] + [
-        n_out + j for j in range(len(op.in_systems))
-    ]
-    new_in = [op.out_systems[i]] + list(op.in_systems)
-    new_out = [s for j, s in enumerate(op.out_systems) if j != i]
-    total_in = op.out_systems[i].dim * op.in_systems.total_dim
-    m = t.transpose(order).reshape(-1, total_in)
-    return LabeledOperator(m, new_in, new_out)
+    legs, n_out = op._legs(), len(op.out_systems)
+    outs = list(range(n_out))
+    moved = outs.pop(i)
+    return _regrouped(op.as_tensor(), legs, outs,
+                      [moved, *range(n_out, len(legs))], op)
 
 
 def _square_axes(op: LabeledOperator, labels) -> list:
@@ -457,13 +460,8 @@ def permute_systems(op: LabeledOperator, new_in, new_out) -> LabeledOperator:
     in_pos = _positions(op.in_systems, new_in, "inputs")
     out_pos = _positions(op.out_systems, new_out, "outputs")
     n_out = len(op.out_systems)
-    order = out_pos + [n_out + i for i in in_pos]
-    out_sys = SystemList([op.out_systems[i] for i in out_pos])
-    in_sys = SystemList([op.in_systems[i] for i in in_pos])
-    m = op.as_tensor().transpose(order).reshape(
-        out_sys.total_dim, in_sys.total_dim
-    )
-    return _handed_over(m, in_sys, out_sys, op)
+    return _regrouped(op.as_tensor(), op._legs(), out_pos,
+                      [n_out + i for i in in_pos], op)
 
 
 # ----------------------------------------------------------------------

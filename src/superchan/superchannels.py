@@ -25,6 +25,7 @@ from .channels import (
     KrausRep,
     LiouvilleRep,
     StinespringRep,
+    _fresh_label,
     _rng,
     apply_channel,
     choi_from_kraus,
@@ -124,8 +125,9 @@ class SuperchannelReport(ChannelValidityReport):
     eigenvalue of (Θ + Θ†)/2; it is read off the block of Θ on the first
     ``kept_rank`` eigenvectors of F (see :func:`validate_superchannel`).
     From the full spectrum the bound is 0.0 and ``kept_rank`` is
-    d_A1·d_B1, all of F.  On a non-finite Θ no spectrum is taken: every
-    verdict is False, every witness NaN and ``kept_rank`` 0.
+    d_A1·d_B1, all of F.  On a Θ whose ||Θ||_F is not finite no spectrum
+    of Θ is taken: every verdict is False, every witness NaN and
+    ``kept_rank`` 0.
     """
 
     min_eigenvalue_bound: float
@@ -218,6 +220,7 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
     return SuperchannelChoi(linked)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf
 def validate_superchannel(op, dims: SuperchannelDims | None = None,
                           tol: float = DEFAULT_ATOL) -> SuperchannelReport:
     """Check the CP, TP and NS conditions; report-style, never raises on an
@@ -231,9 +234,10 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     kept one on later calls.
 
     ||Θ||_F is taken once, by the memory split, and scales the Hermiticity,
-    TP and NS rules here and ``realize``'s residual.  A Θ with a non-finite
-    entry gets no split: every verdict fails, with NaN witnesses, and the
-    readers of the split raise ``NotAValidSuperchannel``.
+    TP and NS rules here and ``realize``'s residual.  A Θ whose ||Θ||_F is
+    not finite (a non-finite entry, or entries whose squares overflow) keeps
+    no split: every verdict fails, with NaN witnesses, and the readers of
+    the split raise ``NotAValidSuperchannel``.
 
     CP is decided on the memory split's kept block B: Θ on the first e
     eigenvectors of F = Tr_{A2B2} Θ / d_A2 (tensored with A2 B2), e being
@@ -260,7 +264,8 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
     if theta is None:
         theta = SuperchannelChoi(op)
-    if not np.isfinite(op.matrix).all():
+    split = _split_curve(theta, tol)
+    if split is None:
         nan = float("nan")
         report = SuperchannelReport(
             **vars(validate_channel(choi, tol, _norm=nan)),
@@ -268,7 +273,6 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
         )
         theta._memo[tol] = (report, None)
         return report
-    split = _split_curve(theta, tol)
     # (min eigenvalue, δ, e) when the kept block decides, else the full
     # spectrum's (None asks validate_channel for it)
     min_eig, bound, kept_rank = None, 0.0, theta.dims.a1 * theta.dims.b1
@@ -330,14 +334,9 @@ def _align_input_channel(theta: SuperchannelChoi, e: ChoiRep) -> ChoiRep:
             f"input channel's final output has dim {e.out_systems.dims[-1]}, "
             f"expected {d.a2}"
         )
-    mapping = {e.input_labels[0]: "B1", e.output_labels[-1]: "A2"}
-    used = set(CHOI_ORDER)
-    for l in e.output_labels[:-1]:
-        new = l
-        while new in used or new in mapping.values():
-            new = new + "'"
-        mapping[l] = new
-        used.add(new)
+    used = set(CHOI_ORDER)  # side outputs keep clear of every Θ label
+    mapping = {l: _fresh_label(l, used) for l in e.output_labels[:-1]}
+    mapping |= {e.input_labels[0]: "B1", e.output_labels[-1]: "A2"}
     return e.relabeled(mapping)
 
 
@@ -538,7 +537,7 @@ class _MemorySplit(NamedTuple):
     norm: float  # ||Θ||_F, the scale of every relative rule on Θ
 
 
-def _split_curve(theta: SuperchannelChoi, tol: float) -> _MemorySplit:
+def _split_curve(theta: SuperchannelChoi, tol: float) -> _MemorySplit | None:
     """The memory split of Θ, which checks nothing:
     :func:`validate_superchannel` is its one caller and keeps it next to the
     report, and the other readers get it from :func:`_require_valid`, so
@@ -552,13 +551,17 @@ def _split_curve(theta: SuperchannelChoi, tol: float) -> _MemorySplit:
     e < n whose absolute residual δ is at most ``tol / 10``, λ the smallest
     eigenvalue of the Hermitian part of rot's kept e×e block; None when
     there is no such e.  ||Θ||_F is ||rot||_F, u being unitary: the sum of
-    the block norms.  rot itself is dropped: it is as large as Θ.
+    the block norms.  rot itself is dropped: it is as large as Θ.  The
+    split is None when F or ||Θ||_F is not finite, the check that Θ is
+    finite (under validation's ``errstate``, so an overflow warns nothing).
     """
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2
     f = partial_trace(theta.op, ["A2", "B2"]) * (1.0 / d.a2)
-    # a validated Θ bounds F's eigenvalues below by -d_B2·tol
     fm = f.matrix
+    if not np.isfinite(fm).all():
+        return None
+    # a validated Θ bounds F's eigenvalues below by -d_B2·tol
     dec = psd_decompose((fm + fm.conj().T) / 2.0, tol=tol, require_psd=False)
     w, u = np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors
     w.setflags(write=False)
@@ -568,9 +571,11 @@ def _split_curve(theta: SuperchannelChoi, tol: float) -> _MemorySplit:
     blocks = parts.sum(axis=1).reshape(n, n, 2).sum(axis=2)
     shells = np.bincount(np.maximum(*np.indices((n, n))).ravel(),
                          weights=blocks.ravel(), minlength=n)
+    norm_sq = shells.sum()
+    if not np.isfinite(norm_sq):
+        return None
     rank = int(np.count_nonzero(w > 0.0))
     outside = np.cumsum(shells[::-1])[::-1]  # weight beyond the e×e block
-    norm_sq = shells.sum()
     tails = outside[1:rank] / norm_sq
     gone = np.cumsum(w[::-1])[::-1][1:rank]  # F's weight beyond rank 1..
     cost = np.sqrt(tails) + gone / (1.0 - np.minimum(gone, 0.5))

@@ -1,6 +1,7 @@
 """Tests for superchannel validation, representations, and realization."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -883,6 +884,61 @@ class TestNonFinite:
     def test_readers_raise_not_a_valid_superchannel(self, case, reader):
         with pytest.raises(NotAValidSuperchannel, match="min eig nan"):
             reader(SuperchannelChoi(non_finite(case)))
+
+
+def scaled_identity(scale) -> LabeledOperator:
+    """scale·eye(16) at (2,2,2,2): finite entries, large norm."""
+    m = scale * np.eye(16)
+    return LabeledOperator(m, QUBIT.systems(), QUBIT.systems())
+
+
+class TestOverflow:
+    """A finite operator whose ||·||_F² overflows fails every check like a
+    non-finite one, and no validator warns on the way."""
+
+    def test_validate_superchannel_reports_non_finite(self):
+        theta = SuperchannelChoi(scaled_identity(1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_superchannel(theta)
+        assert not any((report.hermitian, report.cp, report.tp, report.ns,
+                        report.valid))
+        assert np.isnan([report.hermitian_deviation, report.min_eigenvalue,
+                         report.min_eigenvalue_bound, report.tp_deviation,
+                         report.ns_deviation]).all()
+        assert report.kept_rank == 0
+        assert theta._memo[1e-9] == (report, None)  # no split kept
+
+    def test_validate_channel_reports_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_channel(ChoiRep(scaled_identity(1e200),
+                                              ("A1", "A2"), ("B1", "B2")))
+        assert not any((report.hermitian, report.cp, report.tp, report.valid))
+        assert np.isnan([report.hermitian_deviation, report.min_eigenvalue,
+                         report.tp_deviation]).all()
+
+    @pytest.mark.parametrize("reader", [
+        memory_cost, realize, f_theta_channel, superchannel_breaking_report,
+    ], ids=lambda f: f.__name__)
+    def test_readers_raise_with_ns_false(self, reader):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAValidSuperchannel, match="NS=False"):
+                reader(SuperchannelChoi(scaled_identity(1e200)))
+
+    def test_overflowing_deviation_reads_inf_and_fails(self):
+        """||Θ||_F² = 6.4e307 is finite, but the TP deviation's square is
+        not: that deviation reads inf and fails its check."""
+        theta = SuperchannelChoi(scaled_identity(2e153))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_superchannel(theta)
+            channel = validate_channel(ChoiRep(theta.op, ("A1", "A2"),
+                                               ("B1", "B2")))
+        for r in (report, channel):
+            assert r.hermitian and not r.tp and not r.valid
+            assert r.tp_deviation == np.inf
 
 
 class TestRandomSuperchannel:
