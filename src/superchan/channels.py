@@ -307,35 +307,38 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
 # ----------------------------------------------------------------------
 
 @np.errstate(over="ignore")  # an overflowing norm is inf, and so fails
-def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL, *,
-                     _min_eigenvalue: float | None = None,
-                     _norm: float | None = None) -> ChannelValidityReport:
+def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL) -> ChannelValidityReport:
     """CP/TP report with recomputable witnesses; never raises on bad input.
 
     ``min_eigenvalue`` is the smallest ``eigvalsh`` value of ``(J + J†)/2``.
-    Superchannel validation passes the witness it has bounded without the
-    full spectrum as ``_min_eigenvalue``, and the ||J||_F it has taken as
-    ``_norm``; only the Hermiticity and TP checks run then.  A J whose ||J||
-    is not finite (a non-finite entry, or entries whose squares overflow)
-    gets no spectrum: every verdict is False and every witness NaN.  A
-    deviation whose norm overflows is inf and fails its check.
+    A J whose ||J|| is not finite (a non-finite entry, or entries whose
+    squares overflow) gets no spectrum: every verdict is False and every
+    witness NaN.  A deviation whose norm overflows is inf and fails its
+    check.
     """
     j = c.op.matrix
-    norm = float(np.linalg.norm(j)) if _norm is None else _norm
+    norm = float(np.linalg.norm(j))
+    min_eig = (float(np.min(_hermitian_spectrum(j, vectors=False)))
+               if np.isfinite(norm) else float("nan"))
+    return _channel_report(c, tol, norm, min_eig)
+
+
+def _channel_report(c: ChoiRep, tol: float, norm: float,
+                    min_eig: float) -> ChannelValidityReport:
+    """The Hermiticity and TP checks of J and the CP verdict on ``min_eig``,
+    ||J||_F being ``norm``; NaN verdicts and witnesses when ``norm`` is not
+    finite.  Superchannel validation passes the witness it has bounded
+    without the full spectrum.  Runs under its callers' ``errstate``."""
     if not np.isfinite(norm):
         nan = float("nan")
         return ChannelValidityReport(False, nan, False, nan, False, nan, tol)
-    herm_dev, hermitian = _hermiticity(j, tol, norm)
-    min_eig = _min_eigenvalue
-    if min_eig is None:
-        min_eig = float(np.min(_hermitian_spectrum(j, vectors=False)))
-    cp = hermitian and min_eig >= -tol
+    herm_dev, hermitian = _hermiticity(c.op.matrix, tol, norm)
     marginal = partial_trace(c.op, c.output_labels).matrix
     tp_dev = float(np.linalg.norm(marginal - np.eye(c.d_in)))
     return ChannelValidityReport(
         hermitian=hermitian,
         hermitian_deviation=herm_dev,
-        cp=cp,
+        cp=hermitian and min_eig >= -tol,
         min_eigenvalue=min_eig,
         tp=bool(tp_dev <= tol * max(1.0, norm)),
         tp_deviation=tp_dev,

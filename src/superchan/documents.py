@@ -8,6 +8,10 @@ compact, so saving the same object twice produces byte-identical files.
 Format "1" documents, whose matrices are lists of rows of ``[re, im]``
 decimal pairs, are still read but never written.
 
+Each kind holds one type of object (``operator`` and ``gour`` both hold a
+``LabeledOperator``); writing an object under a kind of another type raises
+``UnknownKind``.  A save that fails leaves the target file untouched.
+
 Loading only checks structure (fields, shapes, dimensions).  Whether an
 operator is a valid channel or superchannel is an explicit, separate check.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,25 +28,101 @@ from .errors import DimensionMismatch, ParseError, UnknownKind
 from .breaking import MeasurePrepare
 from .channels import ChoiRep, KrausRep, LiouvilleRep, StinespringRep
 from .operators import LabeledOperator, SystemList
-from .superchannels import GOUR_ORDER, SuperchannelChoi
+from .superchannels import CHOI_ORDER, GOUR_ORDER, SuperchannelChoi
 
 FORMAT_VERSION = "2"
 _ENTRY = np.dtype("<c16")  # one complex entry on disk: two little-endian doubles
 
-KINDS = (
-    "operator",
-    "choi-channel",
-    "kraus-channel",
-    "stinespring",
-    "liouville",
-    "superchannel-choi",
-    "gour",
-    "measure-prepare",
-)
+
+# ----------------------------------------------------------------------
+# the kind table
+# ----------------------------------------------------------------------
+
+def _io(ins, outs) -> list:
+    """(system, role) pairs of a channel-like object: inputs, then outputs."""
+    return [(s, "input") for s in ins] + [(s, "output") for s in outs]
+
+
+def _gour_layout(op: LabeledOperator):
+    if op.in_systems.labels != GOUR_ORDER:
+        raise DimensionMismatch(f"gour documents need systems {GOUR_ORDER}")
+    roles = ("output", "input", "input", "output")
+    return list(zip(op.in_systems, roles)), [op.matrix]
+
+
+def _superchannel(ins, outs, ms, systems) -> SuperchannelChoi:
+    if len(ins) != 2 or len(outs) != 2:
+        raise ParseError("superchannel documents need 2 inputs and 2 outputs")
+    sys_list = [(n, s.dim) for n, s in zip(CHOI_ORDER, [*ins, *outs])]
+    return SuperchannelChoi(LabeledOperator(ms[0], sys_list, sys_list))
+
+
+def _gour(ins, outs, ms, systems) -> LabeledOperator:
+    names = tuple(n for n, _, _ in systems)
+    if names != GOUR_ORDER:
+        raise ParseError(f"gour systems must be {GOUR_ORDER}, got {names}")
+    sys_list = [(n, d) for n, d, _ in systems]
+    return LabeledOperator(ms[0], sys_list, sys_list)
+
+
+def _measure_prepare(ins, outs, ms, systems) -> MeasurePrepare:
+    if len(ms) % 2 != 0:
+        raise ParseError(
+            "measure-prepare documents alternate effect and state matrices"
+        )
+    return MeasurePrepare(
+        povm=tuple(LabeledOperator(m, ins, ins) for m in ms[0::2]),
+        states=tuple(LabeledOperator(m, outs, outs) for m in ms[1::2]),
+    )
+
+
+class _Kind(NamedTuple):
+    type: type  # the type of object the kind holds
+    layout: Callable  # object -> ((system, role) pairs, matrices), in order
+    build: Callable  # (inputs, outputs, matrices, systems) -> object
+    one_matrix: bool  # the document carries exactly one matrix
+    channel: bool  # the document needs input and output systems
+
+
+_KINDS = {
+    "operator": _Kind(
+        LabeledOperator,
+        lambda op: ([(s, "output") for s in op.out_systems]
+                    + [(s, "input") for s in op.in_systems], [op.matrix]),
+        lambda i, o, ms, _: LabeledOperator(ms[0], i, o), True, False),
+    "choi-channel": _Kind(
+        ChoiRep, lambda c: (_io(c.in_systems, c.out_systems), [c.op.matrix]),
+        lambda i, o, ms, _: ChoiRep(
+            LabeledOperator(ms[0], [*i, *o], [*i, *o]), i.labels, o.labels),
+        True, True),
+    "kraus-channel": _Kind(
+        KrausRep,
+        lambda k: (_io(k.in_systems, k.out_systems), [op.matrix for op in k.ops]),
+        lambda i, o, ms, _: KrausRep(tuple(LabeledOperator(m, i, o) for m in ms)),
+        False, True),
+    "stinespring": _Kind(
+        StinespringRep, lambda s: (_io(s.in_systems, s.v.out_systems), [s.v.matrix]),
+        lambda i, o, ms, _: StinespringRep(LabeledOperator(ms[0], i, o), o[-1].label),
+        True, True),
+    "liouville": _Kind(
+        LiouvilleRep, lambda l: (_io(l.in_systems, l.out_systems), [l.matrix]),
+        lambda i, o, ms, _: LiouvilleRep(ms[0], i, o), True, True),
+    "superchannel-choi": _Kind(
+        SuperchannelChoi,
+        lambda t: (_io(t.op.in_systems[:2], t.op.in_systems[2:]), [t.op.matrix]),
+        _superchannel, True, False),
+    "gour": _Kind(LabeledOperator, _gour_layout, _gour, True, False),
+    "measure-prepare": _Kind(
+        MeasurePrepare,
+        lambda mp: (_io(mp.povm[0].in_systems, mp.states[0].in_systems),
+                    [m.matrix for pair in zip(mp.povm, mp.states) for m in pair]),
+        _measure_prepare, False, False),
+}
+KINDS = tuple(_KINDS)
 
 
 # ----------------------------------------------------------------------
-# payloads
+# object -> document
 # ----------------------------------------------------------------------
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -52,81 +133,21 @@ def _matrix_payload(m: np.ndarray) -> dict:
             "base64": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
-def _systems_payload(systems, roles) -> list:
-    return [
-        {"name": s.label, "dim": s.dim, "role": role}
-        for s, role in zip(systems, roles)
-    ]
-
-
-# ----------------------------------------------------------------------
-# object -> document
-# ----------------------------------------------------------------------
-
-def _channel_systems(in_systems, out_systems):
-    return _systems_payload(
-        list(in_systems) + list(out_systems),
-        ["input"] * len(in_systems) + ["output"] * len(out_systems),
-    )
-
-
 def document_from_object(obj, kind: str | None = None) -> dict:
-    """Build the document dictionary for any supported object; its
-    ``metadata`` field is always empty."""
-    if isinstance(obj, SuperchannelChoi):
-        kind = kind or "superchannel-choi"
-        systems = _channel_systems(obj.op.in_systems[:2], obj.op.in_systems[2:])
-        matrices = [_matrix_payload(obj.op.matrix)]
-    elif isinstance(obj, ChoiRep):
-        kind = kind or "choi-channel"
-        systems = _channel_systems(obj.in_systems, obj.out_systems)
-        matrices = [_matrix_payload(obj.op.matrix)]
-    elif isinstance(obj, KrausRep):
-        kind = kind or "kraus-channel"
-        systems = _channel_systems(obj.in_systems, obj.out_systems)
-        matrices = [_matrix_payload(k.matrix) for k in obj.ops]
-    elif isinstance(obj, StinespringRep):
-        kind = kind or "stinespring"
-        systems = _channel_systems(obj.in_systems, obj.v.out_systems)
-        matrices = [_matrix_payload(obj.v.matrix)]
-    elif isinstance(obj, LiouvilleRep):
-        kind = kind or "liouville"
-        systems = _channel_systems(obj.in_systems, obj.out_systems)
-        matrices = [_matrix_payload(obj.matrix)]
-    elif isinstance(obj, MeasurePrepare):
-        kind = kind or "measure-prepare"
-        systems = _channel_systems(
-            obj.povm[0].in_systems, obj.states[0].in_systems
-        )
-        matrices = []
-        for m, s in zip(obj.povm, obj.states):
-            matrices.append(_matrix_payload(m.matrix))
-            matrices.append(_matrix_payload(s.matrix))
-    elif isinstance(obj, LabeledOperator):
-        if kind == "gour":
-            if obj.in_systems.labels != GOUR_ORDER:
-                raise DimensionMismatch(
-                    f"gour documents need systems {GOUR_ORDER}"
-                )
-            systems = _systems_payload(
-                obj.in_systems, ["output", "input", "input", "output"]
-            )
-        else:
-            kind = kind or "operator"
-            systems = _systems_payload(
-                list(obj.out_systems) + list(obj.in_systems),
-                ["output"] * len(obj.out_systems) + ["input"] * len(obj.in_systems),
-            )
-        matrices = [_matrix_payload(obj.matrix)]
-    else:
-        raise UnknownKind(f"cannot serialize {type(obj)}")
-    if kind not in KINDS:
-        raise UnknownKind(kind)
+    """Build the document dictionary of an object; its ``metadata`` field is
+    always empty.  ``kind`` defaults to the first kind of the object's type;
+    a kind of another type raises ``UnknownKind``."""
+    kind = kind or next(
+        (k for k, entry in _KINDS.items() if isinstance(obj, entry.type)), None)
+    if kind not in KINDS or not isinstance(obj, _KINDS[kind].type):
+        raise UnknownKind(f"cannot write a {type(obj).__name__} as kind {kind!r}")
+    systems, matrices = _KINDS[kind].layout(obj)
     return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "systems": systems,
-        "matrices": matrices,
+        "systems": [{"name": s.label, "dim": s.dim, "role": role}
+                    for s, role in systems],
+        "matrices": [_matrix_payload(m) for m in matrices],
         "metadata": {},
     }
 
@@ -141,9 +162,11 @@ def document_bytes(doc: dict) -> bytes:
 
 def save_document(obj, path, kind: str | None = None) -> None:
     """Write the document of an object to ``path``; byte-deterministic for
-    identical inputs."""
+    identical inputs.  The bytes are built before the file is opened, so a
+    save that fails leaves ``path`` as it was."""
+    data = document_bytes(document_from_object(obj, kind))
     with open(path, "wb") as fh:
-        fh.write(document_bytes(document_from_object(obj, kind)))
+        fh.write(data)
 
 
 # ----------------------------------------------------------------------
@@ -235,12 +258,6 @@ def _parse_systems(raw, where: str):
     return systems
 
 
-def _split_roles(systems):
-    ins = [(n, d) for n, d, role in systems if role == "input"]
-    outs = [(n, d) for n, d, role in systems if role == "output"]
-    return ins, outs
-
-
 def load_document(path):
     """Load a document and return the typed in-memory object."""
     with open(path, "rb") as fh:
@@ -275,68 +292,14 @@ def object_from_document(doc: dict):
     for i, m in enumerate(parsed):
         if not np.isfinite(m).all():
             raise ParseError(f"matrices[{i}]: non-finite entry")
+    entry = _KINDS[kind]
+    if entry.one_matrix and len(parsed) != 1:
+        raise ParseError(f"{kind} documents carry exactly one matrix")
     try:
-        return _assemble(kind, systems, parsed)
+        ins, outs = (SystemList((n, d) for n, d, r in systems if r == role)
+                     for role in ("input", "output"))
+        if entry.channel and not (ins and outs):
+            raise ParseError(f"{kind} documents need input and output systems")
+        return entry.build(ins, outs, parsed, systems)
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from None
-
-
-def _assemble(kind, systems, matrices):
-    ins, outs = _split_roles(systems)
-    if kind == "operator":
-        if len(matrices) != 1:
-            raise ParseError("operator documents carry exactly one matrix")
-        return LabeledOperator(matrices[0], ins, outs)
-    if kind == "gour":
-        if len(matrices) != 1:
-            raise ParseError("gour documents carry exactly one matrix")
-        names = tuple(n for n, _, _ in systems)
-        if names != GOUR_ORDER:
-            raise ParseError(f"gour systems must be {GOUR_ORDER}, got {names}")
-        sys_list = [(n, d) for n, d, _ in systems]
-        return LabeledOperator(matrices[0], sys_list, sys_list)
-    if kind == "superchannel-choi":
-        if len(matrices) != 1:
-            raise ParseError("superchannel documents carry exactly one matrix")
-        if len(ins) != 2 or len(outs) != 2:
-            raise ParseError("superchannel documents need 2 inputs and 2 outputs")
-        sys_list = SystemList(
-            [("A1", ins[0][1]), ("A2", ins[1][1]),
-             ("B1", outs[0][1]), ("B2", outs[1][1])]
-        )
-        return SuperchannelChoi(LabeledOperator(matrices[0], sys_list, sys_list))
-    if kind == "measure-prepare":
-        if len(matrices) % 2 != 0:
-            raise ParseError(
-                "measure-prepare documents alternate effect and state matrices"
-            )
-        povm, states = [], []
-        for i in range(0, len(matrices), 2):
-            povm.append(LabeledOperator(matrices[i], ins, ins))
-            states.append(LabeledOperator(matrices[i + 1], outs, outs))
-        return MeasurePrepare(povm=tuple(povm), states=tuple(states))
-    # channel kinds
-    if not ins or not outs:
-        raise ParseError(f"{kind} documents need input and output systems")
-    if kind == "choi-channel":
-        if len(matrices) != 1:
-            raise ParseError("choi documents carry exactly one matrix")
-        full = ins + outs
-        op = LabeledOperator(matrices[0], full, full)
-        return ChoiRep(op, tuple(n for n, _ in ins), tuple(n for n, _ in outs))
-    if kind == "kraus-channel":
-        ops = tuple(LabeledOperator(m, ins, outs) for m in matrices)
-        return KrausRep(ops)
-    if kind == "stinespring":
-        if len(matrices) != 1:
-            raise ParseError("stinespring documents carry exactly one matrix")
-        env_label = outs[-1][0]
-        v = LabeledOperator(matrices[0], ins, outs)
-        return StinespringRep(v, env_label)
-    if kind == "liouville":
-        if len(matrices) != 1:
-            raise ParseError("liouville documents carry exactly one matrix")
-        return LiouvilleRep(
-            matrices[0], SystemList(ins), SystemList(outs)
-        )
-    raise UnknownKind(kind)

@@ -25,6 +25,7 @@ from .channels import (
     KrausRep,
     LiouvilleRep,
     StinespringRep,
+    _channel_report,
     _fresh_label,
     _rng,
     apply_channel,
@@ -268,20 +269,21 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     if split is None:
         nan = float("nan")
         report = SuperchannelReport(
-            **vars(validate_channel(choi, tol, _norm=nan)),
+            **vars(_channel_report(choi, tol, nan, nan)),
             min_eigenvalue_bound=nan, kept_rank=0, ns=False, ns_deviation=nan,
         )
         theta._memo[tol] = (report, None)
         return report
     # (min eigenvalue, δ, e) when the kept block decides, else the full
-    # spectrum's (None asks validate_channel for it)
+    # spectrum's
     min_eig, bound, kept_rank = None, 0.0, theta.dims.a1 * theta.dims.b1
     if split.kept is not None:
         e, delta, lam = split.kept
         if min(lam, 0.0) - delta >= -tol or lam < -tol:
             min_eig, bound, kept_rank = min(lam, 0.0), delta, e
-    channel = validate_channel(choi, tol, _min_eigenvalue=min_eig,
-                               _norm=split.norm)
+    if min_eig is None:
+        min_eig = float(np.min(_hermitian_spectrum(op.matrix, vectors=False)))
+    channel = _channel_report(choi, tol, split.norm, min_eig)
 
     lhs = partial_trace(op, ["B2"])
     rhs = permute_systems(
@@ -516,9 +518,11 @@ def f_theta_channel(theta: SuperchannelChoi,
 
 
 def _rows_in_f_basis(theta: SuperchannelChoi, u: np.ndarray) -> np.ndarray:
-    """Θ with u† applied to its (A1, B1) row legs, as an n × (m·m·n) array
+    """Θ with u† applied to its (A1, B1) row legs, u being the first k
+    columns of F's eigenbasis, as a k × (m·m·n) array
     ``half[j, ((a2, b2), (a2', b2'), (a1', b1'))]``; ``@ u`` on its last
-    leg gives the rotation ``rot`` of :func:`_split_curve`."""
+    leg gives the first k row blocks of the rotation ``rot`` of
+    :func:`_split_curve`."""
     d = theta.dims
     t = theta.op.matrix.reshape((d.a1, d.a2, d.b1, d.b2) * 2)
     return u.conj().T @ t.transpose(0, 2, 1, 3, 5, 7, 4, 6).reshape(
@@ -637,21 +641,16 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     # V = sum_j |j>_{E1} ⊗ L_j : A1 -> E1 ⊗ B1, L_j[b1, a1] = X[(a1, b1), j]
     x = (u[:, :e1] * np.sqrt(w[:e1])).reshape(d.a1, d.b1, e1)
     v = _nearest_isometry(x.transpose(2, 1, 0).reshape(e1 * d.b1, d.a1))
-    # B = rot[:e1, :, :, :e1]: the split's two products, the second on its
-    # first e1 row blocks only, so B has the split's bits
-    b = (_rows_in_f_basis(theta, u)[:e1].reshape(e1 * m * m, n) @ u)[:, :e1]
+    # B = rot[:e1, :, :, :e1], the split's two products on e1 rows only
+    b = (_rows_in_f_basis(theta, u[:, :e1]).reshape(e1 * m * m, n) @ u)[:, :e1]
     b = b.reshape(e1, m, m, e1).transpose(0, 1, 3, 2).reshape(e1 * m, e1 * m)
-    post_sys = SystemList([("E1", e1), ("A2", d.a2), ("B2", d.b2)])
-    post = kraus_from_choi(
-        ChoiRep(LabeledOperator((b + b.conj().T) / 2.0, post_sys, post_sys),
-                ("E1", "A2"), ("B2",)),
-        tol=validity_tol, rank_rtol=tol / 10,
-    )
-    e2 = len(post)
+    dec = psd_decompose((b + b.conj().T) / 2.0, validity_tol)
+    lam = dec.eigenvalues  # B's trace, sum of w_j·d_A2 over j < e1, is > 0
+    e2 = int(np.count_nonzero(lam > tol / 10 * lam[0]))
+    # W_k[b2, (e1, a2)] = sqrt(λ_k) y_k[(e1, a2, b2)] scaled by w^{-1/2} on E1
+    k = (dec.eigenvectors[:, :e2] * np.sqrt(lam[:e2])).reshape(-1, d.b2, e2)
     s = np.repeat(1.0 / np.sqrt(w[:e1]), d.a2)
-    w_mat = _nearest_isometry(
-        np.stack([k.matrix * s for k in post.ops]).reshape(e2 * d.b2, -1)
-    )
+    w_mat = _nearest_isometry((k.transpose(2, 1, 0) * s).reshape(e2 * d.b2, -1))
 
     devs = []
     for name, iso in (("pre", v), ("post", w_mat)):

@@ -20,6 +20,7 @@ from superchan.channels import (
     stinespring_from_kraus,
 )
 from superchan.documents import (
+    KINDS,
     document_bytes,
     document_from_object,
     load_document,
@@ -292,6 +293,33 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             object_from_document(doc)
         assert "matrices[0]" in str(err.value)
+
+    @pytest.mark.parametrize("own", KINDS)
+    def test_kind_must_fit_the_object(self, own):
+        # written anyway, a superchannel as "choi-channel" would load back as
+        # a plain ChoiRep, and a KrausRep as "liouville" would not load
+        objects = kind_objects()
+        obj = objects[own]
+        for kind in KINDS:
+            if type(objects[kind]) is not type(obj):
+                with pytest.raises(UnknownKind):
+                    document_from_object(obj, kind)
+
+    @pytest.mark.parametrize("obj, kind", [
+        (kind_objects()["superchannel-choi"], "choi-channel"),
+        (kind_objects()["kraus-channel"], "liouville"),
+        (kind_objects()["operator"], "mystery"),
+        (LabeledOperator(np.array([[1.0, 0.0], [np.nan, 1.0]]), [("A", 2)],
+                         [("A", 2)]), None),
+    ], ids=["superchannel-as-choi", "kraus-as-liouville", "unknown-kind",
+            "non-finite"])
+    def test_failed_save_leaves_the_file(self, tmp_path, obj, kind):
+        path = tmp_path / "kept.json"
+        save_document(choi_gamma(), path)
+        before = path.read_bytes()
+        with pytest.raises((UnknownKind, ParseError)):
+            save_document(obj, path, kind)
+        assert path.read_bytes() == before
 
     def test_ragged_matrix(self):
         doc = format1_document()

@@ -665,7 +665,7 @@ class TestMemo:
 
     def test_chain_validates_and_splits_once(self, monkeypatch):
         theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=8)
-        counts = {"validate_channel": 0, "_split_curve": 0}
+        counts = {"_channel_report": 0, "_split_curve": 0}
         for name in counts:
             original = getattr(superchannels, name)
 
@@ -679,7 +679,7 @@ class TestMemo:
         assert realize(theta).e1_dim == cost
         superchannel_breaking_report(theta)
         assert f_theta_channel(theta).rank == cost
-        assert counts == {"validate_channel": 1, "_split_curve": 1}
+        assert counts == {"_channel_report": 1, "_split_curve": 1}
 
     def test_reports_per_tol_match_a_fresh_operator(self):
         theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=9)
