@@ -88,6 +88,8 @@ class MeasurePrepare:
     def __post_init__(self):
         if len(self.povm) != len(self.states):
             raise DimensionMismatch("POVM and state lists differ in length")
+        if not self.povm:
+            raise DimensionMismatch("a POVM needs at least one effect")
 
 
 @dataclass(frozen=True)

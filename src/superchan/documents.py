@@ -12,7 +12,8 @@ Each kind holds one type of object (``operator`` and ``gour`` both hold a
 ``LabeledOperator``); writing an object under a kind of another type raises
 ``UnknownKind``.  A save that fails leaves the target file untouched.
 
-Loading only checks structure (fields, shapes, dimensions).  Whether an
+Loading only checks structure (fields, shapes, dimensions, and that writing
+the loaded object back gives the document's systems list).  Whether an
 operator is a valid channel or superchannel is an explicit, separate check.
 """
 
@@ -28,7 +29,7 @@ from .errors import DimensionMismatch, ParseError, UnknownKind
 from .breaking import MeasurePrepare
 from .channels import ChoiRep, KrausRep, LiouvilleRep, StinespringRep
 from .operators import LabeledOperator, SystemList
-from .superchannels import CHOI_ORDER, GOUR_ORDER, SuperchannelChoi
+from .superchannels import GOUR_ORDER, SuperchannelChoi
 
 FORMAT_VERSION = "2"
 _ENTRY = np.dtype("<c16")  # one complex entry on disk: two little-endian doubles
@@ -50,17 +51,8 @@ def _gour_layout(op: LabeledOperator):
     return list(zip(op.in_systems, roles)), [op.matrix]
 
 
-def _superchannel(ins, outs, ms, systems) -> SuperchannelChoi:
-    if len(ins) != 2 or len(outs) != 2:
-        raise ParseError("superchannel documents need 2 inputs and 2 outputs")
-    sys_list = [(n, s.dim) for n, s in zip(CHOI_ORDER, [*ins, *outs])]
-    return SuperchannelChoi(LabeledOperator(ms[0], sys_list, sys_list))
-
-
-def _gour(ins, outs, ms, systems) -> LabeledOperator:
-    names = tuple(n for n, _, _ in systems)
-    if names != GOUR_ORDER:
-        raise ParseError(f"gour systems must be {GOUR_ORDER}, got {names}")
+def _square(ins, outs, ms, systems) -> LabeledOperator:
+    """The one matrix on the document's systems, in the document's order."""
     sys_list = [(n, d) for n, d, _ in systems]
     return LabeledOperator(ms[0], sys_list, sys_list)
 
@@ -110,8 +102,8 @@ _KINDS = {
     "superchannel-choi": _Kind(
         SuperchannelChoi,
         lambda t: (_io(t.op.in_systems[:2], t.op.in_systems[2:]), [t.op.matrix]),
-        _superchannel, True, False),
-    "gour": _Kind(LabeledOperator, _gour_layout, _gour, True, False),
+        lambda *parts: SuperchannelChoi(_square(*parts)), True, False),
+    "gour": _Kind(LabeledOperator, _gour_layout, _square, True, False),
     "measure-prepare": _Kind(
         MeasurePrepare,
         lambda mp: (_io(mp.povm[0].in_systems, mp.states[0].in_systems),
@@ -252,9 +244,11 @@ def _parse_systems(raw, where: str):
                 raise ParseError(f"{where}[{i}]: missing field {field!r}")
         if entry["role"] not in ("input", "output"):
             raise ParseError(f"{where}[{i}].role: {entry['role']!r}")
-        if not isinstance(entry["dim"], int) or entry["dim"] < 1:
+        if type(entry["dim"]) is not int or entry["dim"] < 1:
             raise ParseError(f"{where}[{i}].dim: {entry['dim']!r}")
-        systems.append((str(entry["name"]), int(entry["dim"]), entry["role"]))
+        if not isinstance(entry["name"], str):
+            raise ParseError(f"{where}[{i}].name: {entry['name']!r}")
+        systems.append((entry["name"], entry["dim"], entry["role"]))
     return systems
 
 
@@ -300,6 +294,11 @@ def object_from_document(doc: dict):
                      for role in ("input", "output"))
         if entry.channel and not (ins and outs):
             raise ParseError(f"{kind} documents need input and output systems")
-        return entry.build(ins, outs, parsed, systems)
+        obj = entry.build(ins, outs, parsed, systems)
+        emitted = [(s.label, s.dim, role) for s, role in entry.layout(obj)[0]]
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from None
+    if emitted != systems:
+        raise ParseError(f"systems {systems} load as an object written with "
+                         f"systems {emitted}")
+    return obj

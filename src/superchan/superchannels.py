@@ -32,7 +32,7 @@ from .channels import (
     choi_from_kraus,
     kraus_from_choi,
     link_product,
-    liouville_from_kraus,
+    liouville_from_choi,
     random_channel,
     validate_channel,
 )
@@ -361,7 +361,7 @@ def apply_to_channel(theta: SuperchannelChoi, e: ChoiRep,
 
 
 # ----------------------------------------------------------------------
-# the equivalent operator built on a basis of maps
+# the equivalent operator built on a basis of maps, and its Liouville matrix
 # ----------------------------------------------------------------------
 
 def gour_from_choi(theta: SuperchannelChoi) -> LabeledOperator:
@@ -371,7 +371,10 @@ def gour_from_choi(theta: SuperchannelChoi) -> LabeledOperator:
     ((b, a), (b', a')) block of this operator, and by the link product that
     block is Θ's own entries with the (B1, A2) legs moved in front.  So the
     operator is the Choi operator permuted into the (B1, A2, A1, B2) order:
-    an exact reindexing with no arithmetic.
+    an exact reindexing with no arithmetic.  Read as a channel (B1, A2) ->
+    (A1, B2) it is the Choi operator of Θ acting on Choi operators, the one
+    :func:`super_liouville` reshuffles and the K layout's Kraus operators
+    (:func:`n_operators`) rebuild.
     """
     return permute_systems(theta.op, GOUR_ORDER, GOUR_ORDER)
 
@@ -383,6 +386,38 @@ def choi_from_gour(gour: LabeledOperator) -> SuperchannelChoi:
             f"expected systems {GOUR_ORDER}, got {gour.in_systems.labels}"
         )
     return SuperchannelChoi(permute_systems(gour, CHOI_ORDER, CHOI_ORDER))
+
+
+def super_liouville(theta: SuperchannelChoi) -> LiouvilleRep:
+    """The Liouville matrix of Θ acting on Choi operators, (B1, A2) ->
+    (A1, B2): ``L @ vec(J_in) = vec(J_out)`` under the package vec convention.
+
+    It is :func:`liouville_from_choi` of :func:`gour_from_choi`, an exact
+    reindexing of Θ's entries that decomposes and validates nothing, so it
+    is defined for every linear supermap.
+    """
+    g = gour_from_choi(theta)
+    return liouville_from_choi(ChoiRep(g, GOUR_ORDER[:2], GOUR_ORDER[2:]))
+
+
+def _aligned_choi_matrix(d_b1: int, d_a2: int, e: ChoiRep) -> np.ndarray:
+    if e.in_systems.total_dim != d_b1 or e.out_systems.total_dim != d_a2:
+        raise DimensionMismatch(
+            f"input channel is {e.in_systems.total_dim} -> "
+            f"{e.out_systems.total_dim}, expected {d_b1} -> {d_a2}"
+        )
+    return e.op.matrix
+
+
+def _apply_on_choi(rep, e: ChoiRep) -> ChoiRep:
+    """A channel rep (B1, A2) -> (A1, B2) applied to J_E, read as A1 -> B2."""
+    out = apply_channel(rep, _aligned_choi_matrix(*rep.in_systems.dims, e))
+    return ChoiRep(out, ("A1",), ("B2",))
+
+
+def liouville_apply(rep: LiouvilleRep, e: ChoiRep) -> ChoiRep:
+    """Output channel A1 -> B2, L vec(J_E), of :func:`super_liouville`'s L."""
+    return _apply_on_choi(rep, e)
 
 
 # ----------------------------------------------------------------------
@@ -405,27 +440,16 @@ def n_operators(theta: SuperchannelChoi,
     return SuperKrausFamily(n_ops, q_ops, k_ops, theta.dims)
 
 
-def _aligned_choi_matrix(family: SuperKrausFamily, e: ChoiRep) -> np.ndarray:
-    d = family.dims
-    if e.in_systems.total_dim != d.b1 or e.out_systems.total_dim != d.a2:
-        raise DimensionMismatch(
-            f"input channel is {e.in_systems.total_dim} -> "
-            f"{e.out_systems.total_dim}, expected {d.b1} -> {d.a2}"
-        )
-    return e.op.matrix
-
-
 def kraus_apply(family: SuperKrausFamily, e: ChoiRep) -> ChoiRep:
     """Output Choi operator as sum_i K_i J K_i† in the (B1, A2) layout."""
-    out = apply_channel(KrausRep(family.k_ops), _aligned_choi_matrix(family, e))
-    return ChoiRep(out, ("A1",), ("B2",))
+    return _apply_on_choi(KrausRep(family.k_ops), e)
 
 
 def _state_and_choi(family: SuperKrausFamily, e: ChoiRep,
                     rho: np.ndarray) -> np.ndarray:
     """Operand rho ⊗ J in the (B1, A1, A2) layout: rho on A1, J on (B1, A2)."""
     d = family.dims
-    t = _aligned_choi_matrix(family, e).reshape(d.b1, d.a2, d.b1, d.a2)
+    t = _aligned_choi_matrix(d.b1, d.a2, e).reshape(d.b1, d.a2, d.b1, d.a2)
     return np.einsum("ac,bpdq->bapdcq", np.asarray(rho), t).reshape(
         d.b1 * d.a1 * d.a2, d.b1 * d.a1 * d.a2
     )
@@ -464,31 +488,6 @@ def stinespring_apply_to_state(v_s: LabeledOperator, family: SuperKrausFamily,
     big = _state_and_choi(family, e, rho)
     rep = StinespringRep(v_s, v_s.out_systems.labels[-1])
     return apply_channel(rep, big).matrix
-
-
-def _with_copies(systems: SystemList) -> SystemList:
-    return SystemList([(s.label + "~", s.dim) for s in systems] + list(systems))
-
-
-def super_liouville(family: SuperKrausFamily) -> LabeledOperator:
-    """Matrix K = sum_i conj(K_i) ⊗ K_i acting on vectorized Choi operators.
-
-    ``K @ vec(J_in) = vec(J_out)`` under the package vec convention, with the
-    column-copy legs listed first (suffix ``~``).
-    """
-    rep = liouville_from_kraus(KrausRep(family.k_ops))
-    return LabeledOperator(
-        rep.matrix, _with_copies(rep.in_systems), _with_copies(rep.out_systems)
-    )
-
-
-def liouville_apply(k: LabeledOperator, family: SuperKrausFamily,
-                    e: ChoiRep) -> ChoiRep:
-    """Apply the vectorized-Choi matrix and fold the result back."""
-    layout = family.k_ops[0]
-    rep = LiouvilleRep(k.matrix, layout.in_systems, layout.out_systems)
-    out = apply_channel(rep, _aligned_choi_matrix(family, e))
-    return ChoiRep(out, ("A1",), ("B2",))
 
 
 # ----------------------------------------------------------------------

@@ -355,8 +355,7 @@ def test_criterion_05_application_paths_agree():
             via_kraus = kraus_apply(family, e).op.matrix
             assert np.max(np.abs(via_kraus - via_link.op.matrix)) <= 1e-10
             # vectorized path on the Choi level
-            k_mat = super_liouville(family)
-            via_liou = liouville_apply(k_mat, family, e).op.matrix
+            via_liou = liouville_apply(super_liouville(theta), e).op.matrix
             assert np.max(np.abs(via_liou - via_link.op.matrix)) <= 1e-10
             # state-level paths through the Q layout and the dilation
             v_s = super_stinespring(family)

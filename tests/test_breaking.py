@@ -7,6 +7,7 @@ import pytest
 
 from superchan.breaking import (
     Bipartition,
+    MeasurePrepare,
     SeparableDecomposition,
     apply_measure_prepare,
     choi_from_measure_prepare,
@@ -180,6 +181,10 @@ class TestDepolarizing:
 
 
 class TestMeasurePrepare:
+    def test_empty_povm_refused(self):
+        with pytest.raises(DimensionMismatch, match="at least one effect"):
+            MeasurePrepare((), ())
+
     def test_single_term_trace_and_prepare(self):
         sigma = random_density_matrix(2, seed=11)
         dec = SeparableDecomposition(

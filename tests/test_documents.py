@@ -321,6 +321,38 @@ class TestErrors:
             save_document(obj, path, kind)
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_systems_out_of_emission_order_refused(self, kind):
+        doc = document_from_object(kind_objects()[kind], kind)
+        doc["systems"].insert(0, doc["systems"].pop())
+        with pytest.raises(ParseError):
+            object_from_document(doc)
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("superchannel-choi", {0: {"name": "X"}}),
+        ("superchannel-choi", {3: {"name": "Y"}}),
+        ("superchannel-choi", {1: {"role": "output"}, 2: {"role": "input"}}),
+        ("gour", {2: {"name": "X"}}),
+        ("gour", {0: {"role": "input"}}),
+        ("gour", {i: {"role": "input"} for i in range(4)}),
+        ("gour", {2: {"dim": True}}),
+        ("choi-channel", {0: {"name": 5}}),
+    ], ids=["sc-renamed-A1", "sc-renamed-B2", "sc-re-roled", "gour-renamed",
+            "gour-re-roled", "gour-all-inputs", "bool-dim", "int-name"])
+    def test_systems_the_writer_could_not_emit_refused(self, kind, edit):
+        doc = document_from_object(kind_objects()[kind], kind)
+        for i, fields in edit.items():
+            doc["systems"][i].update(fields)
+        with pytest.raises(ParseError):
+            object_from_document(doc)
+
+    def test_edit_describing_another_object_loads_as_it(self):
+        doc = document_from_object(kind_objects()["choi-channel"])
+        doc["systems"][0]["name"] = "Q"
+        loaded = object_from_document(doc)
+        assert loaded.input_labels == ("Q",)
+        assert document_from_object(loaded) == doc
+
     def test_ragged_matrix(self):
         doc = format1_document()
         doc["matrices"][0][1] = doc["matrices"][0][1][:-1]

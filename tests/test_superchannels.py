@@ -14,6 +14,7 @@ from superchan.channels import (
     KrausRep,
     apply_channel,
     choi_from_kraus,
+    choi_from_liouville,
     compose_channels,
     kraus_from_choi,
     link_product,
@@ -444,29 +445,70 @@ class TestFourApplicationPaths:
         for seed in range(15):
             theta = random_superchannel(QUBIT, memory_dim=2, seed=seed)
             e = random_input_channel(5000 + seed)
-            family = n_operators(theta)
-            k = super_liouville(family)
+            k = super_liouville(theta)
             via_link = apply_to_channel(theta, e).op.matrix
-            via_liou = liouville_apply(k, family, e).op.matrix
+            via_liou = liouville_apply(k, e).op.matrix
             assert np.max(np.abs(via_link - via_liou)) <= 1e-10
 
     def test_identity_superchannel_liouville_is_permutation(self):
-        family = n_operators(identity_superchannel(2))
-        k = super_liouville(family).matrix
+        k = super_liouville(identity_superchannel(2)).matrix
         # permutation matrix: entries in {0, 1}, orthogonal
         assert np.allclose(np.abs(k) * (1 - np.abs(k)), 0.0, atol=1e-12)
         assert np.allclose(k @ k.conj().T, np.eye(16), atol=1e-12)
 
     def test_liouville_linearity(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=61)
-        family = n_operators(theta)
-        k = super_liouville(family).matrix
+        k = super_liouville(theta).matrix
         e1 = random_input_channel(62).op.matrix
         e2 = random_input_channel(63).op.matrix
         a, b = 0.3, 0.7
         lhs = k @ (a * e1.T.reshape(-1) + b * e2.T.reshape(-1))
         rhs = a * (k @ e1.T.reshape(-1)) + b * (k @ e2.T.reshape(-1))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    def test_liouville_round_trip_is_bit_exact(self):
+        # Θ -> Liouville -> Gour's operator -> Θ is a pure reindexing
+        grid = itertools.product(itertools.product((1, 2, 3), repeat=4), (1, 2))
+        for i, (dims, memory) in enumerate(grid):
+            theta = random_superchannel(SuperchannelDims(*dims), memory,
+                                        seed=900 + i)
+            rep = super_liouville(theta)
+            assert rep.in_systems.labels == ("B1", "A2")
+            assert rep.out_systems.labels == ("A1", "B2")
+            back = choi_from_gour(choi_from_liouville(rep).op)
+            assert np.array_equal(back.op.matrix, theta.op.matrix), dims
+
+    def test_kraus_family_rebuilds_gour_operator(self):
+        # kraus_apply's K family has Gour's operator as its Choi operator
+        for i, dims in enumerate(itertools.product((1, 2, 3), repeat=4)):
+            theta = random_superchannel(SuperchannelDims(*dims), 1 + i % 2,
+                                        seed=1000 + i)
+            g = gour_from_choi(theta).matrix
+            rebuilt = choi_from_kraus(KrausRep(n_operators(theta).k_ops))
+            tol = 1e-14 * max(1.0, np.linalg.norm(theta.op.matrix))
+            assert np.max(np.abs(rebuilt.op.matrix - g)) <= tol, dims
+
+    def test_liouville_path_takes_no_spectrum(self, monkeypatch):
+        theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=64)
+        e = random_input_channel(65, d_in=2, d_out=3)
+        want = apply_to_channel(theta, e).op.matrix
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral call on the vectorized path")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        got = liouville_apply(super_liouville(theta), e).op.matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_input_split_must_match_b1_to_a2(self):
+        # same total dimension 6, but the input channel is 3 -> 2
+        theta = random_superchannel(SuperchannelDims(2, 3, 2, 2), 2, seed=66)
+        e = random_input_channel(67, d_in=3, d_out=2)
+        with pytest.raises(DimensionMismatch, match="expected 2 -> 3"):
+            kraus_apply(n_operators(theta), e)
+        with pytest.raises(DimensionMismatch, match="expected 2 -> 3"):
+            liouville_apply(super_liouville(theta), e)
 
 
 class TestFThetaAndMemory:
