@@ -19,6 +19,7 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _as_system_list,
+    _check_tol,
     _hermitian_spectrum,
     _hermiticity,
     _isometry,
@@ -314,8 +315,9 @@ def validate_channel(c: ChoiRep, tol: float = DEFAULT_ATOL) -> ChannelValidityRe
     A J whose ||J|| is not finite (a non-finite entry, or entries whose
     squares overflow) gets no spectrum: every verdict is False and every
     witness NaN.  A deviation whose norm overflows is inf and fails its
-    check.
+    check.  A negative or NaN ``tol`` raises ``ValueError``.
     """
+    _check_tol(tol)
     j = c.op.matrix
     norm = float(np.linalg.norm(j))
     min_eig = (float(np.min(_hermitian_spectrum(j, vectors=False)))

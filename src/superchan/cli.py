@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import DimensionMismatch, DocumentError, SuperchanError, UnknownLabel
@@ -50,10 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _tolerance(text: str) -> float:
+    """A finite number >= 0; argparse reports anything else as a usage error
+    naming the option."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 _OPTIONS = {
-    "--tol": dict(type=float, default=1e-9,
+    "--tol": dict(type=_tolerance, default=1e-9,
                   help="validity tolerance (default 1e-9)"),
-    "--rank-rtol": dict(type=float, default=1e-9,
+    "--rank-rtol": dict(type=_tolerance, default=1e-9,
                         help="relative rank cutoff (default 1e-9)"),
     "--seed": dict(type=int, default=0, help="generator seed"),
     "--out": dict(default=None, help="output path ('-' or omitted: stdout)"),
@@ -102,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="sequential realization with minimal memory")
     p.add_argument("theta")
-    _add_options(p, "--tol", "--out", "--format")
+    p.add_argument("--out", metavar="PREFIX",
+                   help="prefix of PREFIX.V.json and PREFIX.W.json")
+    _add_options(p, "--tol", "--format")
 
     p = sub.add_parser("memory-cost", help="minimal memory dimension")
     p.add_argument("theta")
@@ -239,7 +251,7 @@ def _cmd_gour(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    if args.out is None:
+    if args.out in (None, "-"):  # two documents cannot share stdout
         raise DimensionMismatch("realize needs --out PREFIX for the V/W documents")
     theta = _load_superchannel(args.theta)
     result = realize(theta, validity_tol=args.tol)

@@ -38,7 +38,8 @@ Memory rank e1: the smallest rank whose cut, plus a bound on renormalising
 V, stays within ``realize``'s ``tol`` of ||Θ|| (``memory_cost``: its
 default, 1e-8).  Environment rank e2: the Kraus operators of Θ's kept
 block, counted above ``tol / 10`` times the largest (the same budget; 1e-9
-at the default).  ``realize``'s self-check: residual relative to ||Θ||
+at the default); it is also the count of ``n_operators``, the comb's
+family.  ``realize``'s self-check: residual relative to ||Θ||
 within ``tol``.  Isometries (one rule, :func:`_isometry`, for ``realize``'s
 V and W and the Stinespring ↔ Kraus conversions): ||V†V - 1|| within
 ``tol * max(1, d_in)``.  POVM completeness
@@ -487,6 +488,12 @@ def _hermitian_spectrum(m: np.ndarray, vectors: bool):
     Hermitian part ``(M + M†)/2`` of an array."""
     herm = (m + m.conj().T) / 2.0
     return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a validity tolerance that is negative or NaN."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
 
 
 def _hermiticity(m: np.ndarray, tol: float,

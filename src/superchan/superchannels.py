@@ -30,7 +30,6 @@ from .channels import (
     _rng,
     apply_channel,
     choi_from_kraus,
-    kraus_from_choi,
     link_product,
     liouville_from_choi,
     random_channel,
@@ -40,10 +39,12 @@ from .operators import (
     DEFAULT_ATOL,
     LabeledOperator,
     SystemList,
+    _check_tol,
     _hermitian_spectrum,
     _isometry,
     identity_operator,
     kron,
+    mat,
     partial_mat,
     partial_trace,
     partial_vec,
@@ -143,7 +144,7 @@ class SuperchannelReport(ChannelValidityReport):
 
 @dataclass(frozen=True)
 class SuperKrausFamily:
-    """Operator family from the spectral decomposition of a superchannel Choi.
+    """Operator family N_k = (W_k ⊗ 1_B1)(1_A2 ⊗ V) of :func:`realize`'s comb.
 
     ``n_ops`` map (A1, A2) to (B1, B2) and rebuild the Choi operator as a sum
     of vectorized outer products.  The cached layouts are pure reindexings:
@@ -232,7 +233,8 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     ``dims`` labels an operator on other systems; on the A1, A2, B1, B2
     systems it must agree with them (``DimensionMismatch`` otherwise).  A
     :class:`SuperchannelChoi` keeps its report per ``tol`` and returns the
-    kept one on later calls.
+    kept one on later calls.  A negative or NaN ``tol`` raises
+    ``ValueError``.
 
     ||Θ||_F is taken once, by the memory split, and scales the Hermiticity,
     TP and NS rules here and ``realize``'s residual.  A Θ whose ||Θ||_F is
@@ -252,6 +254,7 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     by at most δ.  NS compares Tr_B2 Θ with F ⊗ 1_A2, F taken from the
     split.
     """
+    _check_tol(tol)
     theta = op if isinstance(op, SuperchannelChoi) else None
     if theta is not None:
         op = theta.op
@@ -421,20 +424,21 @@ def liouville_apply(rep: LiouvilleRep, e: ChoiRep) -> ChoiRep:
 
 
 # ----------------------------------------------------------------------
-# spectral operator family and the three derived representations
+# the comb's operator family and the three derived representations
 # ----------------------------------------------------------------------
 
 def n_operators(theta: SuperchannelChoi,
                 tol: float = DEFAULT_ATOL) -> SuperKrausFamily:
     """Minimal operator family with sum_i vec(N_i) vec(N_i)† = J.
 
-    The count equals the numeric rank of the Choi operator at
-    ``DEFAULT_RANK_RTOL``.  Raises ``NotPSD`` when the operator is not
-    positive semidefinite at ``tol``.
+    The N_i are the comb's operators of ``realize(theta, validity_tol=tol)``:
+    their count is its ``e2_dim``, they rebuild J within its residual, and
+    ``NotAValidSuperchannel`` is raised unless Θ passes validation at ``tol``.
     """
-    as_bipartite = ChoiRep(theta.op, CHOI_ORDER[:2], CHOI_ORDER[2:])
-    kr = kraus_from_choi(as_bipartite, tol=tol)
-    n_ops = kr.ops
+    r = realize(theta, validity_tol=tol)
+    n_ops = tuple(mat(LabeledOperator(n[:, None], [], theta.op.in_systems),
+                      CHOI_ORDER[:2])
+                  for n in _comb_vecs(r.v.matrix, r.w.matrix, theta.dims).T)
     q_ops = tuple(partial_mat(n, "B1") for n in n_ops)
     k_ops = tuple(partial_mat(partial_vec(n, "A1"), "B1") for n in n_ops)
     return SuperKrausFamily(n_ops, q_ops, k_ops, theta.dims)
@@ -617,6 +621,14 @@ def _nearest_isometry(m: np.ndarray) -> np.ndarray:
     return left @ right
 
 
+def _comb_vecs(v: np.ndarray, w: np.ndarray, d: SuperchannelDims) -> np.ndarray:
+    """The comb's family N_k = (W_k ⊗ 1_B1)(1_A2 ⊗ V), W_k the E2 = k block
+    of W, as the columns vec(N_k) on A1 A2 B1 B2."""
+    e1, e2 = v.shape[0] // d.b1, w.shape[0] // d.b2
+    return np.einsum("kyjx,jbz->zxbyk", w.reshape(e2, d.b2, e1, d.a2),
+                     v.reshape(e1, d.b1, d.a1)).reshape(-1, e2)
+
+
 def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
             validity_tol: float = DEFAULT_ATOL) -> Realization:
     """Sequential realization with minimal memory.
@@ -662,10 +674,7 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     v_op = LabeledOperator(v, [("A1", d.a1)], [("E1", e1), ("B1", d.b1)])
     w_op = LabeledOperator(w_mat, [("E1", e1), ("A2", d.a2)],
                            [("E2", e2), ("B2", d.b2)])
-    # Θ rebuilt from the comb's family N_k = (W_k ⊗ 1_B1)(1_A2 ⊗ V), W_k the
-    # E2 = k block of W: the columns of n_vecs are the vec(N_k) on A1 A2 B1 B2
-    n_vecs = np.einsum("kyjx,jbz->zxbyk", w_mat.reshape(e2, d.b2, e1, d.a2),
-                       v.reshape(e1, d.b1, d.a1)).reshape(-1, e2)
+    n_vecs = _comb_vecs(v, w_mat, d)  # Θ rebuilt from the comb's family
     diff = n_vecs @ n_vecs.conj().T - theta.op.matrix
     residual = float(np.sqrt(np.vdot(diff, diff).real) / split.norm)
     if residual > tol:

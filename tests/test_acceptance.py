@@ -27,6 +27,7 @@ from superchan.channels import (
     choi_from_kraus,
     compose_channels,
     convert_channel,
+    kraus_from_choi,
     link_product,
     liouville_from_kraus,
     random_channel,
@@ -39,8 +40,10 @@ from superchan.operators import (
     identity_operator,
     mat,
     numeric_rank,
+    partial_mat,
     partial_trace,
     partial_transpose,
+    partial_vec,
     permute_systems,
     vec,
 )
@@ -176,21 +179,30 @@ def oracle_memory_rank(theta: SuperchannelChoi, rtol: float = 1e-9) -> int:
     return int(np.count_nonzero(svals > rtol * svals[0]))
 
 
+def oracle_spectral_k_ops(theta: SuperchannelChoi) -> tuple:
+    """K layouts (B1, A2) -> (A1, B2) of the Choi operator's spectral family:
+    ``kraus_from_choi`` of Θ read as (A1, A2) -> (B1, B2), then the
+    reindexing ``n_operators`` applies to the realization's family."""
+    choi = ChoiRep(theta.op, ("A1", "A2"), ("B1", "B2"))
+    return tuple(partial_mat(partial_vec(n, "A1"), "B1")
+                 for n in kraus_from_choi(choi).ops)
+
+
 def oracle_adjoint_memory_rank(theta: SuperchannelChoi,
                                rtol: float = 1e-9) -> int:
     """Memory rank along the adjoint route, from the operator family.
 
     The rank of Tr_{A2 B2} sum_i vec(K_i†) vec(K_i†)† over the K layouts of
-    the Choi operator's spectral family; independent of the (A1, B1)
-    marginal that ``memory_cost`` decides on.
+    the Choi operator's spectral family (:func:`oracle_spectral_k_ops`);
+    independent of the (A1, B1) marginal that ``memory_cost`` decides on
+    and of the realization that ``n_operators`` reads.
     """
-    family = n_operators(theta)
     d = theta.dims
     adjoint_systems = SystemList(
         [("A1", d.a1), ("B2", d.b2), ("B1", d.b1), ("A2", d.a2)]
     )
     acc = np.zeros((d.total,) * 2, dtype=np.complex128)
-    for k in family.k_ops:
+    for k in oracle_spectral_k_ops(theta):
         w = vec(k.adjoint()).matrix
         acc += w @ w.conj().T
     traced = partial_trace(

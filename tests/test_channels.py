@@ -336,6 +336,15 @@ class TestValidate:
         assert not rep.hermitian and not rep.valid
         assert validate_channel(skew, tol=1e-3).hermitian
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_negative_or_nan_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            validate_channel(gamma_choi(2), tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, float("inf")])
+    def test_zero_and_infinite_tol_report(self, tol):
+        assert validate_channel(gamma_choi(2), tol=tol).tol == tol
+
 
 class TestApply:
     def test_identity_channel(self):

@@ -295,6 +295,20 @@ class TestRealizeAndMemory:
         assert "--out" in err
         assert calls == []
 
+    def test_realize_out_dash_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        # two documents cannot both go to stdout, and no file named "-"
+        # prefixes them
+        theta = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--seed", "47", "--out", theta)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "realize", theta, "--out", "-")
+        assert (code, out) == (1, "")
+        assert "--out PREFIX" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.json"]
+        code, out, _ = run(capsys, "realize", "--help")
+        assert code == 0 and "PREFIX.V.json and PREFIX.W.json" in out
+
 
 class TestBreaking:
     def test_channel_verdicts(self, tmp_path, capsys):
@@ -387,6 +401,30 @@ class TestExitCodes:
             code, _, err = run(capsys, "validate", "theta.json")
             assert code == (1 if issubclass(error, usage) else 2), error
             assert "boom" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "theta.json", "--tol", "nan"),
+        ("validate", "theta.json", "--tol", "-1"),
+        ("breaking", "theta.json", "--tol", "inf"),
+        ("memory-cost", "theta.json", "--tol=-1e-9"),
+        ("realize", "theta.json", "--out", "p", "--tol", "-inf"),
+        ("apply", "theta.json", "e.json", "--tol", "x"),
+        ("convert", "e.json", "--to", "kraus", "--rank-rtol", "nan"),
+        ("convert", "e.json", "--to", "kraus", "--rank-rtol", "-1"),
+    ])
+    def test_tolerance_outside_zero_to_inf_is_1(self, capsys, argv):
+        # refused while parsing: the missing files are never opened
+        option = next(a for a in argv if a.startswith("--") and a not in (
+            "--out", "--to")).split("=")[0]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"argument {option}:" in err
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        theta = str(tmp_path / "theta.json")
+        run(capsys, "gen", "superchannel", "--seed", "47", "--out", theta)
+        code, _, err = run(capsys, "validate", theta, "--tol", "0")
+        assert code in (0, 2) and "argument" not in err
 
     def test_p_out_of_range_is_1(self, capsys):
         # structural precondition, not a tolerance check

@@ -92,6 +92,36 @@ def copy_pre_superchannel():
     return superchannel_from_parts(pre, post)
 
 
+def backward_signaling() -> LabeledOperator:
+    """CP and TP, not NS: Gamma pairs joining A1 with B2 and A2 with B1."""
+    g = np.eye(2).reshape(4, 1)
+    gamma_proj = g @ g.conj().T
+    op = np.kron(gamma_proj, gamma_proj).reshape([2, 2, 2, 2] * 2)
+    # built on (A1, B2, A2, B1); reorder to (A1, A2, B1, B2)
+    perm = [0, 2, 3, 1]
+    op = op.transpose(perm + [p + 4 for p in perm]).reshape(16, 16)
+    return LabeledOperator(op, QUBIT.systems(), QUBIT.systems())
+
+
+def mixed_beyond_one() -> LabeledOperator:
+    """TP and NS, not CP: the identity superchannel mixed with weight 1.1."""
+    theta = identity_superchannel(2).op.matrix
+    mixer = random_superchannel(QUBIT, memory_dim=1, seed=5).op.matrix
+    eps = 0.1
+    return LabeledOperator((1 + eps) * theta - eps * mixer, QUBIT.systems(),
+                           QUBIT.systems())
+
+
+def near_cutoff_family():
+    """The 21 mixtures (1 - ε) a + ε b of a memoryless rank-1 superchannel a
+    and a memory-2 one b, ε = 1e-14 .. 1e-4, whose spectra straddle every
+    rank cutoff: (ε, Θ) pairs."""
+    a = random_superchannel(QUBIT, 1, seed=83, pre_rank=1).op
+    b = random_superchannel(QUBIT, 2, seed=5).op
+    eps = [m * 10.0 ** k for k in range(-14, -4) for m in (1, 3)] + [1e-4]
+    return [(e, SuperchannelChoi((1.0 - e) * a + e * b)) for e in eps]
+
+
 def random_input_channel(seed, d_in=2, d_out=2, rank=2):
     return choi_from_kraus(random_channel(d_in, d_out, rank, seed=seed))
 
@@ -131,26 +161,22 @@ class TestFromPartsAndValidate:
         assert report.cp and report.ns and not report.tp
 
     def test_backward_signaling_breaks_ns_only(self):
-        # Gamma pairs joining A1 with B2 and A2 with B1 signal backwards
-        g = np.eye(2).reshape(4, 1)
-        gamma_proj = g @ g.conj().T
-        op = np.kron(gamma_proj, gamma_proj).reshape([2, 2, 2, 2] * 2)
-        # built on (A1, B2, A2, B1); reorder to (A1, A2, B1, B2)
-        perm = [0, 2, 3, 1]
-        op = op.transpose(perm + [p + 4 for p in perm]).reshape(16, 16)
-        systems = QUBIT.systems()
-        report = validate_superchannel(LabeledOperator(op, systems, systems))
+        report = validate_superchannel(backward_signaling())
         assert report.cp and report.tp and not report.ns
         assert report.ns_deviation > 1e-3
 
     def test_mixing_beyond_one_breaks_cp_only(self):
-        theta = identity_superchannel(2).op.matrix
-        mixer = random_superchannel(QUBIT, memory_dim=1, seed=5).op.matrix
-        eps = 0.1
-        systems = QUBIT.systems()
-        op = LabeledOperator((1 + eps) * theta - eps * mixer, systems, systems)
-        report = validate_superchannel(op)
+        report = validate_superchannel(mixed_beyond_one())
         assert not report.cp and report.tp and report.ns
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_negative_or_nan_tol_raises_before_any_work(self, tol):
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=3)
+        with pytest.raises(ValueError, match="tol"):
+            validate_superchannel(theta, tol=tol)
+        assert theta._memo == {}
+        with pytest.raises(ValueError, match="tol"):
+            memory_cost(theta, tol=tol)
 
     def test_other_labels_without_dims_rejected(self):
         theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
@@ -359,6 +385,42 @@ class TestOperatorFamily:
                 LabeledOperator(acc, sys_q, sys_q), ["B1"]
             ).matrix
             assert np.linalg.norm(traced - np.eye(4)) <= 1e-10
+
+
+    def test_comb_family_on_grid(self):
+        # one member per environment dimension of the comb, as many as the
+        # rank of Θ, rebuilding Θ at rounding level
+        grid = itertools.product(itertools.product((1, 2, 3), repeat=4),
+                                 (1, 2, 3))
+        for i, (dims, memory) in enumerate(grid):
+            theta = random_superchannel(SuperchannelDims(*dims), memory,
+                                        seed=1200 + i)
+            family = n_operators(theta)
+            counts = (len(family), numeric_rank(theta.op),
+                      realize(theta).e2_dim)
+            assert len(set(counts)) == 1, (dims, counts)
+            rebuilt = sum(vec(n).matrix @ vec(n).matrix.conj().T
+                          for n in family.n_ops)
+            tol = 1e-14 * max(1.0, np.linalg.norm(theta.op.matrix))
+            assert np.max(np.abs(rebuilt - theta.op.matrix)) <= tol, dims
+
+    def test_near_cutoff_family_follows_realize(self):
+        # near the rank cutoff the count is realize's e2, which can fall
+        # below numeric_rank, and Θ is rebuilt within realize's budget
+        for eps, theta in near_cutoff_family():
+            family = n_operators(theta)
+            assert len(family) == realize(theta).e2_dim, eps
+            rebuilt = sum(vec(n).matrix @ vec(n).matrix.conj().T
+                          for n in family.n_ops)
+            m = theta.op.matrix
+            assert (np.linalg.norm(rebuilt - m)
+                    <= superchannels.REALIZE_TOL * np.linalg.norm(m)), eps
+
+    @pytest.mark.parametrize("make", [backward_signaling, mixed_beyond_one])
+    def test_invalid_superchannel_rejected(self, make):
+        # failing NS (but PSD) or failing CP: no family either way
+        with pytest.raises(NotAValidSuperchannel):
+            n_operators(SuperchannelChoi(make()))
 
 
 class TestFourApplicationPaths:
@@ -675,6 +737,7 @@ class TestSpectrumReuse:
         assert validate_superchannel(theta).valid
         memory_cost(theta)
         realize(theta)
+        n_operators(theta)
         superchannel_breaking_report(theta)
         # eigvalsh: only the two PPT cuts
         assert calls == {"eigh": 0, "eigvalsh": 2}
