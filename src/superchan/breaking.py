@@ -3,7 +3,8 @@
 Separability is certified through positivity under partial transposition
 (PPT).  A negative partial transpose always soundly proves entanglement; a
 positive one proves separability only when the product of the cut-local
-dimensions is at most 6, and every verdict carries that exactness note.
+dimensions is at most 6 or one side is trivial (dimension 1), and every
+verdict carries that exactness note.
 
 Two canonical cuts classify a superchannel's Choi operator:
 
@@ -15,6 +16,10 @@ Two canonical cuts classify a superchannel's Choi operator:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ from .operators import (
     LabeledOperator,
     SystemList,
     _hermiticity,
+    _transposed_axes,
     gamma,
     identity_operator,
     kron,
@@ -97,7 +103,7 @@ class EbChannelReport:
     """Entanglement-breaking verdict for a channel.
 
     ``is_eb`` is None when the PPT surrogate cannot decide (positive partial
-    transpose on a cut larger than 2x3).
+    transpose on a cut larger than 2x3 with no trivial side).
     """
 
     ppt: PptVerdict
@@ -119,9 +125,12 @@ class BreakingReport:
 # ----------------------------------------------------------------------
 
 def _cut_exactness(op: LabeledOperator, cut: Bipartition) -> str:
+    """The one exactness rule: PPT decides separability on a cut of at most
+    2x3, and on a cut with a trivial side, where every state is a product."""
     d_left = int(np.prod([op.in_systems.dim_of(l) for l in cut.left]))
     d_right = int(np.prod([op.in_systems.dim_of(l) for l in cut.right]))
-    return "ppt-decisive" if d_left * d_right <= 6 else "ppt-necessary-only"
+    decisive = d_left * d_right <= 6 or min(d_left, d_right) == 1
+    return "ppt-decisive" if decisive else "ppt-necessary-only"
 
 
 def _require_hermitian(op: LabeledOperator, tol: float):
@@ -129,18 +138,136 @@ def _require_hermitian(op: LabeledOperator, tol: float):
         raise NotHermitian("PPT test needs a Hermitian operator")
 
 
-def _ppt_verdict(op: LabeledOperator, cut: Bipartition,
-                 tol: float) -> PptVerdict:
-    """The verdict of :func:`ppt_test` on an operator already known to be
+# The PPT kernel.  Each cut's partial transpose is written once into a fresh
+# Fortran-ordered buffer that LAPACK's zheevd (jobz='N', uplo='L') then
+# overwrites: the call numpy's eigvalsh makes on its own copy, so the
+# spectra are bit-identical to it.  From _PAIR_ROWS rows on, and while
+# OpenBLAS runs each call on one thread, cuts run two at a time, the second
+# on a helper thread that makes only the LAPACK call (ctypes releases the GIL
+# during it); below that size, starting the thread costs more than the
+# overlap saves, and two multithreaded calls only contend for the cores.
+# Without the LAPACK handle, each cut is np.linalg.eigvalsh of
+# partial_transpose.
+_PAIR_ROWS = 64
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+@dataclass(frozen=True)
+class _Lapack:
+    """Routines of the OpenBLAS that numpy's own linear algebra calls."""
+
+    zheevd: object  # LAPACKE_zheevd, ILP64
+    blas_threads: object  # openblas_get_num_threads
+
+
+@functools.cache
+def _lapack() -> _Lapack | None:
+    """The ILP64 OpenBLAS vendored in numpy's wheel, resolved once per
+    process, or None unless it is the only one there and exports both
+    routines."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        names = [f for f in os.listdir(libs)
+                 if f.startswith("libscipy_openblas64_") and f.endswith(".so")]
+    except OSError:
+        return None
+    if len(names) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(os.path.join(libs, names[0]))
+        zheevd = lib.scipy_LAPACKE_zheevd64_
+        blas_threads = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    zheevd.restype = ctypes.c_int64
+    zheevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                       ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_void_p)
+    blas_threads.restype = ctypes.c_int
+    blas_threads.argtypes = ()
+    return _Lapack(zheevd, blas_threads)
+
+
+def _pt_buffer(op: LabeledOperator, order: list) -> np.ndarray:
+    """The partial transpose with axis order ``order``, written once into a
+    fresh Fortran-ordered buffer, through the buffer's transpose: a C-ordered
+    view whose tensor has the input legs first."""
+    buf = np.empty(op.shape, dtype=np.complex128, order="F")
+    n_out = len(op.out_systems)
+    swapped = order[n_out:] + order[:n_out]
+    np.copyto(buf.T.reshape(op.in_systems.dims + op.out_systems.dims),
+              op.as_tensor().transpose(swapped))
+    return buf
+
+
+def _eigvalsh_in_place(zheevd, buf: np.ndarray, w: np.ndarray) -> int:
+    """zheevd of the lower triangle of the square Fortran-ordered ``buf``,
+    eigenvalues ascending into ``w``; returns LAPACK's info."""
+    n = buf.shape[0]
+    if not (buf.shape == (n, n) and buf.dtype == np.complex128
+            and buf.flags.f_contiguous and buf.flags.writeable
+            and w.shape == (n,) and w.dtype == np.float64
+            and w.flags.c_contiguous and w.flags.writeable):
+        raise ValueError("zheevd needs a writable Fortran-ordered complex128 "
+                         "square matrix and a float64 vector of its size")
+    return zheevd(_COL_MAJOR, b"N", b"L", n, buf.ctypes.data, n,
+                  w.ctypes.data)
+
+
+def _lowest(zheevd, bufs: list) -> list:
+    """λmin of each buffer (one or two), the second on a helper thread that
+    is joined whatever happens; a failure in either reaches the caller."""
+    spectra = [np.empty(b.shape[0]) for b in bufs]
+    infos = [None] * len(bufs)
+
+    def helper():
+        try:
+            infos[1] = _eigvalsh_in_place(zheevd, bufs[1], spectra[1])
+        except BaseException as exc:  # re-raised in the caller
+            infos[1] = exc
+
+    thread = threading.Thread(target=helper) if len(bufs) == 2 else None
+    if thread is not None:
+        thread.start()
+    try:
+        infos[0] = _eigvalsh_in_place(zheevd, bufs[0], spectra[0])
+    finally:
+        if thread is not None:
+            thread.join()
+    for info in infos:
+        if isinstance(info, BaseException):
+            raise info
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zheevd failed with info {info}")
+    return [float(np.min(w)) for w in spectra]
+
+
+def _pt_min_eigenvalues(op: LabeledOperator, sides) -> list:
+    """λmin of the partial transpose of ``op`` over each label tuple in
+    ``sides``: the one PPT kernel.  Every side is checked before any
+    spectrum is taken, and ``op``'s memory is only read."""
+    orders = [_transposed_axes(op, side) for side in sides]
+    lapack = _lapack()
+    if lapack is None:
+        return [float(np.min(np.linalg.eigvalsh(
+            partial_transpose(op, side).matrix))) for side in sides]
+    pair = op.shape[0] >= _PAIR_ROWS and lapack.blas_threads() == 1
+    step = 2 if pair else 1
+    mins = []
+    for i in range(0, len(orders), step):
+        mins += _lowest(lapack.zheevd,
+                        [_pt_buffer(op, o) for o in orders[i:i + step]])
+    return mins
+
+
+def _ppt_verdicts(op: LabeledOperator, cuts, tol: float) -> list:
+    """The verdicts of :func:`ppt_test` on an operator already known to be
     Hermitian at ``tol`` (the check validation makes)."""
-    pt = partial_transpose(op, cut.right)
-    min_eig = float(np.min(np.linalg.eigvalsh(pt.matrix)))
-    return PptVerdict(
-        bipartition=cut,
-        min_eigenvalue=min_eig,
-        is_ppt=bool(min_eig >= -tol),
-        tol=tol,
-    )
+    mins = _pt_min_eigenvalues(op, [cut.right for cut in cuts])
+    return [PptVerdict(bipartition=cut, min_eigenvalue=m,
+                       is_ppt=bool(m >= -tol), tol=tol)
+            for cut, m in zip(cuts, mins)]
 
 
 def ppt_test(op: LabeledOperator, cut: Bipartition,
@@ -149,7 +276,7 @@ def ppt_test(op: LabeledOperator, cut: Bipartition,
     eigenvalue.  Requires a Hermitian operator, square on every label."""
     cut.validate_against(op)
     _require_hermitian(op, tol)
-    return _ppt_verdict(op, cut, tol)
+    return _ppt_verdicts(op, [cut], tol)[0]
 
 
 def ppt_battery(op: LabeledOperator, tol: float = DEFAULT_ATOL) -> tuple:
@@ -164,28 +291,28 @@ def ppt_battery(op: LabeledOperator, tol: float = DEFAULT_ATOL) -> tuple:
         raise DimensionMismatch("need at least two systems to bipartition")
     _require_hermitian(op, tol)
     first, rest = labels[0], labels[1:]
-    verdicts = []
+    cuts = []
     for mask in range(2 ** len(rest)):
         left = (first,) + tuple(
             l for i, l in enumerate(rest) if mask & (1 << i)
         )
         right = tuple(l for l in rest if l not in left)
-        if not right:
-            continue
-        verdicts.append(_ppt_verdict(op, Bipartition(left, right), tol))
-    return tuple(verdicts)
+        if right:
+            cuts.append(Bipartition(left, right))
+    return tuple(_ppt_verdicts(op, cuts, tol))
 
 
 def eb_channel_report(c: ChoiRep, tol: float = DEFAULT_ATOL) -> EbChannelReport:
     """Entanglement-breaking verdict from the Choi operator's input|output cut.
 
     A negative partial transpose rules the channel entangling definitively;
-    a positive one is definitive only when d_in * d_out <= 6.
+    a positive one is definitive only when d_in * d_out <= 6 or one of them
+    is 1.
     """
     if not validate_channel(c, tol).valid:
         raise NotAValidSuperchannel("EB verdicts need a valid channel")
     cut = Bipartition(tuple(c.input_labels), tuple(c.output_labels))
-    verdict = _ppt_verdict(c.op, cut, tol)
+    verdict = _ppt_verdicts(c.op, [cut], tol)[0]
     exactness = _cut_exactness(c.op, cut)
     if not verdict.is_ppt:
         is_eb = False
@@ -203,8 +330,7 @@ def superchannel_breaking_report(theta: SuperchannelChoi,
     # a valid report includes the Hermiticity check that ppt_test makes
     cut1 = Bipartition(*TYPE_I_CUT)
     cut2 = Bipartition(*TYPE_II_CUT)
-    v1 = _ppt_verdict(theta.op, cut1, tol)
-    v2 = _ppt_verdict(theta.op, cut2, tol)
+    v1, v2 = _ppt_verdicts(theta.op, [cut1, cut2], tol)
     return BreakingReport(
         type_I=v1,
         type_I_exactness=_cut_exactness(theta.op, cut1),

@@ -181,8 +181,10 @@ def kraus_from_choi(c: ChoiRep, tol: float = DEFAULT_ATOL,
     """Minimal Kraus set from the spectral decomposition of the Choi operator.
 
     There is one operator per eigenvalue above ``rank_rtol`` times the largest.
-    Raises ``NotPSD`` when the channel is not completely positive at ``tol``.
+    Raises ``NotPSD`` when the channel is not completely positive at ``tol``,
+    and ``ValueError`` when ``rank_rtol`` is negative or not finite.
     """
+    _check_tol(rank_rtol, "rank_rtol", finite=True)
     dec = psd_decompose(c.op, tol=tol, require_psd=True)
     r = int(np.count_nonzero(dec.eigenvalues > rank_rtol * dec.eigenvalues[0]))
     if r == 0:
@@ -273,8 +275,10 @@ def convert_channel(rep, target: str, tol: float = DEFAULT_ATOL,
     from a Choi or Liouville source need the spectral decomposition of the
     Choi operator (:func:`kraus_from_choi`, one operator per eigenvalue above
     ``rank_rtol`` times the largest); every other edge is built from the
-    Kraus operators.
+    Kraus operators.  A ``rank_rtol`` that is negative or not finite raises
+    ``ValueError`` whatever the edge.
     """
+    _check_tol(rank_rtol, "rank_rtol", finite=True)
     source = _KIND_NAMES.get(type(rep))
     if source is None:
         raise DimensionMismatch(

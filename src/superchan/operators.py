@@ -47,10 +47,14 @@ V and W and the Stinespring ↔ Kraus conversions): ||V†V - 1|| within
 ``max(tol, 1e-10) * max(1, ||ΣM||)``.  An operator whose ||·||_F is not
 finite (a non-finite entry, or an overflow) fails every validity check,
 with NaN witnesses and no spectrum taken; a deviation that overflows is inf.
+A validity ``tol`` that is negative or NaN raises ``ValueError``, and so does
+a ``rank_rtol`` or a ``realize`` budget that is negative or not finite
+(:func:`_check_tol`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -433,14 +437,20 @@ def partial_trace(op: LabeledOperator, labels) -> LabeledOperator:
     )
 
 
+def _transposed_axes(op: LabeledOperator, labels) -> list:
+    """Axis order of :meth:`LabeledOperator.as_tensor` that swaps the row
+    and column legs of the named square factors; raises as
+    :func:`_square_axes` does."""
+    labels = [labels] if isinstance(labels, str) else list(labels)
+    order = list(range(len(op.out_systems) + len(op.in_systems)))
+    for i_out, i_in in _square_axes(op, labels):
+        order[i_out], order[i_in] = order[i_in], order[i_out]
+    return order
+
+
 def partial_transpose(op: LabeledOperator, labels) -> LabeledOperator:
     """Swap row and column indices of the named square factors; involutive."""
-    labels = [labels] if isinstance(labels, str) else list(labels)
-    pairs = _square_axes(op, labels)
-    n = len(op.out_systems) + len(op.in_systems)
-    order = list(range(n))
-    for i_out, i_in in pairs:
-        order[i_out], order[i_in] = order[i_in], order[i_out]
+    order = _transposed_axes(op, labels)
     m = op.as_tensor().transpose(order).reshape(op.shape)
     return _handed_over(m, op.in_systems, op.out_systems, op)
 
@@ -490,10 +500,13 @@ def _hermitian_spectrum(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a validity tolerance that is negative or NaN."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+def _check_tol(tol: float, name: str = "tol", finite: bool = False) -> None:
+    """Refuse a tolerance ``name`` that is negative or NaN, and with
+    ``finite`` one that is infinite too: the one check of the validity
+    tolerances, the cut budget of ``realize`` and ``rank_rtol``."""
+    if not (tol >= 0.0 and (tol < math.inf or not finite)):
+        rule = "finite and >= 0" if finite else ">= 0"
+        raise ValueError(f"{name} must be {rule}, got {tol!r}")
 
 
 def _hermiticity(m: np.ndarray, tol: float,

@@ -641,8 +641,10 @@ def realize(theta: SuperchannelChoi, tol: float = REALIZE_TOL,
     eigenvalue above ``tol / 10`` times the largest, scaled by w^{-1/2} on E1
     (those of C, as the scaling is a congruence), each made an exact isometry.
     ``ResidualTooLarge`` is raised unless Θ rebuilt from V and W matches
-    within ``tol`` (relative Frobenius) and V, W pass as isometries.
+    within ``tol`` (relative Frobenius) and V, W pass as isometries; a
+    ``tol`` that is negative or not finite raises ``ValueError``.
     """
+    _check_tol(tol, finite=True)
     split = _require_valid(theta, validity_tol)
     d = theta.dims
     n, m = d.a1 * d.b1, d.a2 * d.b2

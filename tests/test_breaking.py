@@ -1,11 +1,17 @@
 """Tests for PPT verdicts, EB classification, and measure-and-prepare forms."""
 
 import itertools
+import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from superchan import breaking
 from superchan.breaking import (
+    TYPE_II_CUT,
     Bipartition,
     MeasurePrepare,
     SeparableDecomposition,
@@ -15,6 +21,7 @@ from superchan.breaking import (
     eb_channel_report,
     example_type1_not_type2,
     measure_prepare_from_decomposition,
+    ppt_battery,
     ppt_test,
     random_eb_measure_prepare,
     random_eb_superchannel,
@@ -44,8 +51,12 @@ from superchan.superchannels import (
     CHOI_ORDER,
     SuperchannelChoi,
     SuperchannelDims,
+    f_theta_channel,
+    random_superchannel,
     validate_superchannel,
 )
+
+from test_memory_properties import NEAR_CUTOFF_EPS, near_cutoff
 
 QUBIT = SuperchannelDims(2, 2, 2, 2)
 
@@ -403,13 +414,13 @@ class TestPptBattery:
         systems = [("A", 2), ("B", 2), ("C", 2)]
         op = LabeledOperator(np.eye(8) + skew, systems, systems)
         cuts = []
-        original = breaking._ppt_verdict
+        original = breaking._pt_min_eigenvalues
 
-        def counted(op, cut, tol):
-            cuts.append(cut)
-            return original(op, cut, tol)
+        def counted(op, sides):
+            cuts.extend(sides)
+            return original(op, sides)
 
-        monkeypatch.setattr(breaking, "_ppt_verdict", counted)
+        monkeypatch.setattr(breaking, "_pt_min_eigenvalues", counted)
         with pytest.raises(NotHermitian, match="PPT test needs a Hermitian"):
             ppt_battery(op)
         assert cuts == []
@@ -450,3 +461,233 @@ class TestRandomEbSuperchannel:
                                      CHOI_ORDER, CHOI_ORDER)
                 assert op.in_systems == theta.op.in_systems
                 assert op.matrix.tobytes() == theta.op.matrix.tobytes()
+
+
+def assert_same_verdict(a, b):
+    """Every field equal, the minimum eigenvalue bit for bit."""
+    assert (a.bipartition, a.is_ppt, a.tol) == (b.bipartition, b.is_ppt, b.tol)
+    assert struct.pack("<d", a.min_eigenvalue) == struct.pack(
+        "<d", b.min_eigenvalue), (a, b)
+
+
+def witnesses(theta):
+    """Every PPT verdict of the three entry points on a superchannel: its
+    battery, its report, and the EB reports of Θ and F as channels."""
+    battery = ppt_battery(theta.op)
+    report = superchannel_breaking_report(theta)
+    ebs = [eb_channel_report(ChoiRep(theta.op, ("A1", "A2"), ("B1", "B2"))),
+           eb_channel_report(f_theta_channel(theta).choi)]
+    return battery, report, ebs
+
+
+def assert_same_witnesses(x, y):
+    (battery_x, report_x, ebs_x), (battery_y, report_y, ebs_y) = x, y
+    assert len(battery_x) == len(battery_y)
+    for a, b in zip(battery_x, battery_y):
+        assert_same_verdict(a, b)
+    assert_same_verdict(report_x.type_I, report_y.type_I)
+    assert_same_verdict(report_x.type_II, report_y.type_II)
+    assert (report_x.type_I_exactness, report_x.type_II_exactness,
+            report_x.common_cause_breaking) == (
+        report_y.type_I_exactness, report_y.type_II_exactness,
+        report_y.common_cause_breaking)
+    for a, b in zip(ebs_x, ebs_y, strict=True):
+        assert_same_verdict(a.ppt, b.ppt)
+        assert (a.is_eb, a.exactness) == (b.is_eb, b.exactness)
+
+
+@pytest.fixture
+def lapack():
+    handle = breaking._lapack()
+    if handle is None:
+        pytest.skip("no LAPACK handle: the kernel is the fallback")
+    return handle
+
+
+def use_lapack(monkeypatch, zheevd, blas_threads=1):
+    """The kernel on ``zheevd``, seeing ``blas_threads`` BLAS threads."""
+    monkeypatch.setattr(breaking, "_lapack",
+                        lambda: breaking._Lapack(zheevd, lambda: blas_threads))
+
+
+def use_fallback(monkeypatch):
+    monkeypatch.setattr(breaking, "_lapack", lambda: None)
+
+
+def kernel_and_fallback(monkeypatch, lapack, theta, blas_threads=1):
+    """The witnesses of ``theta`` through LAPACK, pairing cuts from 64 rows
+    on whatever the BLAS thread count (with ``blas_threads`` 1), and through
+    the fallback."""
+    use_lapack(monkeypatch, lapack.zheevd, blas_threads)
+    kernel = witnesses(theta)
+    use_fallback(monkeypatch)
+    fallback = witnesses(theta)
+    monkeypatch.undo()
+    return kernel, fallback
+
+
+class TestPptKernel:
+    """The LAPACK kernel against the fallback, np.linalg.eigvalsh of
+    partial_transpose, which the handle set to None forces."""
+
+    @pytest.mark.parametrize("dims", itertools.product((1, 2, 3), repeat=4))
+    def test_grid_bit_identical(self, monkeypatch, lapack, dims):
+        for memory in (1, 2):
+            theta = random_superchannel(SuperchannelDims(*dims), memory,
+                                        seed=memory)
+            assert_same_witnesses(*kernel_and_fallback(monkeypatch, lapack,
+                                                       theta))
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4, 4), (5, 5, 5, 5), (2, 6, 6, 2)])
+    def test_large_bit_identical(self, monkeypatch, lapack, dims):
+        theta = random_superchannel(SuperchannelDims(*dims), 2, seed=1)
+        assert theta.op.shape[0] >= breaking._PAIR_ROWS
+        assert_same_witnesses(*kernel_and_fallback(monkeypatch, lapack, theta))
+
+    def test_unpaired_large_bit_identical(self, monkeypatch, lapack):
+        # a multithreaded BLAS runs the cuts one at a time
+        theta = random_superchannel(SuperchannelDims(4, 4, 4, 4), 2, seed=2)
+        assert_same_witnesses(*kernel_and_fallback(monkeypatch, lapack, theta,
+                                                   blas_threads=2))
+
+    @pytest.mark.parametrize("eps", NEAR_CUTOFF_EPS)
+    def test_near_cutoff_bit_identical(self, monkeypatch, lapack, eps):
+        assert_same_witnesses(*kernel_and_fallback(monkeypatch, lapack,
+                                                   near_cutoff(eps)))
+
+    def test_spectrum_is_eigvalsh(self, lapack):
+        rng = np.random.default_rng(11)
+        for n in (36, 81, 144):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = g + g.conj().T
+            buf, w = np.asfortranarray(h), np.empty(n)
+            assert breaking._eigvalsh_in_place(lapack.zheevd, buf, w) == 0
+            assert w.tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+    def test_buffers_checked_before_lapack(self, lapack):
+        h = np.eye(4, dtype=complex)
+        for buf, w in ((h, np.empty(4)),  # C-ordered
+                       (np.asfortranarray(h.real), np.empty(4)),
+                       (np.asfortranarray(h), np.empty(3))):
+            with pytest.raises(ValueError, match="zheevd needs"):
+                breaking._eigvalsh_in_place(lapack.zheevd, buf, w)
+
+    def test_concurrent_callers(self, monkeypatch, lapack):
+        # more callers than cores, each pairing its cuts on a helper thread
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=6)
+        use_fallback(monkeypatch)
+        expected = witnesses(theta)
+        use_lapack(monkeypatch, lapack.zheevd)
+        results = [None] * 6
+
+        def caller(i):
+            # a copy each, so that only the kernel is shared
+            own = SuperchannelChoi(LabeledOperator(
+                np.array(theta.op.matrix), theta.op.in_systems,
+                theta.op.out_systems))
+            results[i] = [witnesses(own) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,))
+                       for i in range(len(results))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for runs in results:
+            assert runs is not None
+            for got in runs:
+                assert_same_witnesses(got, expected)
+
+    def fail_in(self, monkeypatch, lapack, failing):
+        """Pair the cuts, with ``failing(on_helper)`` deciding each call."""
+        def zheevd(*args):
+            outcome = failing(threading.current_thread()
+                              is not threading.main_thread())
+            return lapack.zheevd(*args) if outcome is None else outcome
+
+        use_lapack(monkeypatch, zheevd)
+
+    def test_helper_info_reaches_caller(self, monkeypatch, lapack):
+        self.fail_in(monkeypatch, lapack, lambda helper: 7 if helper else None)
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="info 7"):
+            superchannel_breaking_report(theta)
+        assert threading.active_count() == threads
+
+    def test_helper_exception_reaches_caller(self, monkeypatch, lapack):
+        def failing(helper):
+            if helper:
+                raise RuntimeError("helper failed")
+
+        self.fail_in(monkeypatch, lapack, failing)
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            ppt_battery(theta.op)
+
+    def test_helper_joined_when_caller_fails(self, monkeypatch, lapack):
+        finished = threading.Event()
+
+        def failing(helper):
+            if not helper:
+                raise RuntimeError("caller failed")
+            time.sleep(0.05)
+            finished.set()
+
+        self.fail_in(monkeypatch, lapack, failing)
+        theta = random_superchannel(SuperchannelDims(3, 3, 3, 3), 2, seed=4)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            superchannel_breaking_report(theta)
+        assert finished.is_set()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("dims", [(2, 1, 3, 2), (4, 1, 4, 4)])
+    def test_operator_memory_never_written(self, monkeypatch, dims):
+        # a dim-1 leg lets a transposed reshape be a view of Θ; the kernel
+        # hands LAPACK only buffers of its own
+        lapack = breaking._lapack()
+        if lapack is not None:
+            use_lapack(monkeypatch, lapack.zheevd)
+        theta = random_eb_superchannel(SuperchannelDims(*dims), 2, seed=31)
+        op = theta.op
+        before = op.matrix.tobytes()
+        calls = (
+            lambda: ppt_battery(op),
+            lambda: ppt_test(op, Bipartition(*TYPE_II_CUT)),
+            lambda: eb_channel_report(ChoiRep(op, ("A1", "A2"), ("B1", "B2"))),
+            lambda: superchannel_breaking_report(theta),
+        )
+        for call in calls:
+            call()
+            assert op.matrix.tobytes() == before
+
+
+class TestTrivialSideCuts:
+    """Every state on C^1 ⊗ C^d is a product: such a cut is decisive."""
+
+    def test_state_preparation_is_eb(self):
+        rho = random_density_matrix(7, seed=1)
+        prep = ChoiRep(LabeledOperator(rho, [("B", 7)], [("B", 7)]), (), ("B",))
+        report = eb_channel_report(prep)
+        assert report.ppt.is_ppt
+        assert (report.is_eb, report.exactness) == (True, "ppt-decisive")
+
+    def test_trace_channel_is_eb(self):
+        trace = ChoiRep(LabeledOperator(np.eye(7), [("A", 7)], [("A", 7)]),
+                        ("A",), ())
+        report = eb_channel_report(trace)
+        assert (report.is_eb, report.exactness) == (True, "ppt-decisive")
+
+    def test_type_ii_cut_with_trivial_inputs(self):
+        theta = random_superchannel(SuperchannelDims(1, 1, 3, 3), 2, seed=1)
+        report = superchannel_breaking_report(theta)
+        # A1 A2 | B1 B2 is 1 x 9; A1 B2 | B1 A2 is 3 x 3
+        assert report.type_II_exactness == "ppt-decisive"
+        assert report.type_I_exactness == "ppt-necessary-only"

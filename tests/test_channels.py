@@ -290,6 +290,18 @@ class TestConvertChannel:
         assert np.array_equal(back, dep.op.matrix)
         assert np.isclose(np.linalg.eigvalsh(back)[0], 5e-13, rtol=1e-3)
 
+    @pytest.mark.parametrize("rank_rtol", [float("nan"), float("inf"),
+                                           -float("inf"), -1.0])
+    def test_rank_rtol_refused(self, rank_rtol):
+        choi = choi_from_kraus(random_channel(2, 3, 2, seed=0))
+        with pytest.raises(ValueError, match="rank_rtol must be finite"):
+            kraus_from_choi(choi, rank_rtol=rank_rtol)
+        # on every edge, also those that cut no rank
+        for target in KINDS:
+            with pytest.raises(ValueError, match="rank_rtol must be finite"):
+                convert_channel(choi, target, rank_rtol=rank_rtol)
+        assert len(kraus_from_choi(choi, rank_rtol=0.0).ops) >= 2
+
     def test_rejects_non_channels_and_unknown_targets(self):
         with pytest.raises(DimensionMismatch, match="LabeledOperator"):
             convert_channel(identity_operator([("A", 2)]), "choi")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from superchan import superchannels
+from superchan import breaking, superchannels
 
 from superchan.breaking import superchannel_breaking_report
 from superchan.channels import (
@@ -665,6 +665,14 @@ class TestFThetaAndMemory:
 
 
 class TestRealize:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
+                                     -float("inf"), -1.0])
+    def test_cut_budget_refused_before_any_work(self, tol):
+        theta = random_superchannel(QUBIT, memory_dim=2, seed=1)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            realize(theta, tol=tol)
+        assert theta._memo == {}
+
     def test_identity_superchannel(self):
         r = realize(identity_superchannel(2))
         assert r.e1_dim == 1
@@ -734,11 +742,23 @@ class TestSpectrumReuse:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        # the PPT kernel calls LAPACK's zheevd itself when it can, two cuts
+        # at a time on two threads
+        ppt_spectra = []
+        lapack = breaking._lapack()
+        if lapack is not None:
+            def zheevd(*args):
+                ppt_spectra.append(args[3])  # the row count
+                return lapack.zheevd(*args)
+
+            counted = breaking._Lapack(zheevd, lapack.blas_threads)
+            monkeypatch.setattr(breaking, "_lapack", lambda: counted)
         assert validate_superchannel(theta).valid
         memory_cost(theta)
         realize(theta)
         n_operators(theta)
         superchannel_breaking_report(theta)
+        calls["eigvalsh"] += ppt_spectra.count(81)
         # eigvalsh: only the two PPT cuts
         assert calls == {"eigh": 0, "eigvalsh": 2}
 
