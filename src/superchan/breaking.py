@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import threading
 from dataclasses import dataclass
 
@@ -134,6 +133,8 @@ def _cut_exactness(op: LabeledOperator, cut: Bipartition) -> str:
 
 
 def _require_hermitian(op: LabeledOperator, tol: float):
+    if op.in_systems != op.out_systems:
+        raise DimensionMismatch("PPT test needs one system list on both sides")
     if not _hermiticity(op.matrix, tol)[1]:
         raise NotHermitian("PPT test needs a Hermitian operator")
 
@@ -162,20 +163,10 @@ class _Lapack:
 
 @functools.cache
 def _lapack() -> _Lapack | None:
-    """The ILP64 OpenBLAS vendored in numpy's wheel, resolved once per
-    process, or None unless it is the only one there and exports both
-    routines."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
+    """Both routines, found once per process through the handle of
+    numpy.linalg's own extension module, or None when either is missing."""
     try:
-        names = [f for f in os.listdir(libs)
-                 if f.startswith("libscipy_openblas64_") and f.endswith(".so")]
-    except OSError:
-        return None
-    if len(names) != 1:
-        return None
-    try:
-        lib = ctypes.CDLL(os.path.join(libs, names[0]))
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         zheevd = lib.scipy_LAPACKE_zheevd64_
         blas_threads = lib.scipy_openblas_get_num_threads64_
     except (OSError, AttributeError):
@@ -273,7 +264,8 @@ def _ppt_verdicts(op: LabeledOperator, cuts, tol: float) -> list:
 def ppt_test(op: LabeledOperator, cut: Bipartition,
              tol: float = DEFAULT_ATOL) -> PptVerdict:
     """Partial transpose over the right side of the cut; report the minimum
-    eigenvalue.  Requires a Hermitian operator, square on every label."""
+    eigenvalue.  Requires a Hermitian operator with one system list (labels,
+    dims and order) on both sides."""
     cut.validate_against(op)
     _require_hermitian(op, tol)
     return _ppt_verdicts(op, [cut], tol)[0]

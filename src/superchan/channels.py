@@ -111,6 +111,10 @@ class StinespringRep:
     v: LabeledOperator
     env_label: str = "E"
 
+    def __post_init__(self):
+        if self.v.out_systems.labels[-1:] != (self.env_label,):
+            raise DimensionMismatch(f"{self.env_label!r} must be the last output")
+
     @property
     def env_dim(self) -> int:
         return self.v.out_systems.dim_of(self.env_label)
@@ -198,20 +202,24 @@ def kraus_from_choi(c: ChoiRep, tol: float = DEFAULT_ATOL,
     return KrausRep(tuple(ops))
 
 
-def stinespring_from_kraus(k: KrausRep,
-                           tol: float = DEFAULT_ATOL) -> StinespringRep:
-    """Stack the Kraus blocks into V = sum_i K_i ⊗ |i>_E; env dim = len(k)."""
+def _stacked(k: KrausRep) -> LabeledOperator:
+    """The Kraus blocks stacked into V = sum_i K_i ⊗ |i>_E, the environment
+    listed last: the layout :func:`kraus_from_stinespring` undoes."""
     r = len(k.ops)
     blocks = np.stack([op.matrix for op in k.ops])  # (r, d_out, d_in)
     # output composite (out, E): row index (b, i) -> K_i[b, :]
-    v = blocks.transpose(1, 0, 2).reshape(
-        k.out_systems.total_dim * r, k.in_systems.total_dim
-    )
-    dev, isometry = _isometry(v, tol)
+    v = blocks.transpose(1, 0, 2).reshape(k.out_systems.total_dim * r, -1)
+    return LabeledOperator(v, k.in_systems, list(k.out_systems) + [("E", r)])
+
+
+def stinespring_from_kraus(k: KrausRep,
+                           tol: float = DEFAULT_ATOL) -> StinespringRep:
+    """V = sum_i K_i ⊗ |i>_E, an isometry at ``tol``; env dim = len(k)."""
+    v = _stacked(k)
+    dev, isometry = _isometry(v.matrix, tol)
     if not isometry:
         raise NotTP(f"Kraus completeness deviation {dev:.3e} exceeds tolerance")
-    out_sys = list(k.out_systems) + [("E", r)]
-    return StinespringRep(LabeledOperator(v, k.in_systems, out_sys))
+    return StinespringRep(v)
 
 
 def kraus_from_stinespring(s: StinespringRep,

@@ -55,6 +55,7 @@ a ``rank_rtol`` or a ``realize`` budget that is negative or not finite
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,10 +69,21 @@ DEFAULT_RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class System:
-    """One labeled subsystem with its dimension."""
+    """One labeled subsystem with its dimension, an integer >= 1."""
 
     label: str
     dim: int
+
+    def __post_init__(self):
+        try:  # any integer but a bool, nothing rounded
+            dim = operator.index(None if isinstance(self.dim, bool) else self.dim)
+        except TypeError:
+            raise DimensionMismatch(
+                f"system {self.label!r} has dim {self.dim!r}, not an integer"
+            ) from None
+        if dim < 1:
+            raise DimensionMismatch(f"system {self.label!r} has dim {dim} < 1")
+        object.__setattr__(self, "dim", dim)
 
 
 class SystemList:
@@ -86,13 +98,10 @@ class SystemList:
                 parsed.append(entry)
             else:
                 label, dim = entry
-                parsed.append(System(str(label), int(dim)))
+                parsed.append(System(str(label), dim))
         labels = [s.label for s in parsed]
         if len(set(labels)) != len(labels):
             raise DimensionMismatch(f"duplicate labels in system list: {labels}")
-        for s in parsed:
-            if s.dim < 1:
-                raise DimensionMismatch(f"system {s.label!r} has dim {s.dim} < 1")
         object.__setattr__(self, "_systems", tuple(parsed))
 
     def __setattr__(self, name, value):

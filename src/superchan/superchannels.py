@@ -28,6 +28,7 @@ from .channels import (
     _channel_report,
     _fresh_label,
     _rng,
+    _stacked,
     apply_channel,
     choi_from_kraus,
     link_product,
@@ -223,15 +224,14 @@ def superchannel_from_parts(pre: ChoiRep, post: ChoiRep) -> SuperchannelChoi:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf
-def validate_superchannel(op, dims: SuperchannelDims | None = None,
-                          tol: float = DEFAULT_ATOL) -> SuperchannelReport:
+def validate_superchannel(op, tol: float = DEFAULT_ATOL) -> SuperchannelReport:
     """Check the CP, TP and NS conditions; report-style, never raises on an
     operator that fails them.
 
     CP and TP are the channel checks of the same operator read as a channel
     (A1, A2) -> (B1, B2); only the NS condition is specific to superchannels.
-    ``dims`` labels an operator on other systems; on the A1, A2, B1, B2
-    systems it must agree with them (``DimensionMismatch`` otherwise).  A
+    ``op`` is a :class:`SuperchannelChoi` or a bare operator on A1, A2, B1,
+    B2 in that order, whose dims are the superchannel's.  A
     :class:`SuperchannelChoi` keeps its report per ``tol`` and returns the
     kept one on later calls.  A negative or NaN ``tol`` raises
     ``ValueError``.
@@ -258,11 +258,6 @@ def validate_superchannel(op, dims: SuperchannelDims | None = None,
     theta = op if isinstance(op, SuperchannelChoi) else None
     if theta is not None:
         op = theta.op
-    if dims is not None:
-        if op.in_systems.labels != CHOI_ORDER:
-            op = LabeledOperator(op.matrix, dims.systems(), dims.systems())
-        elif dims != (found := SuperchannelDims(*op.in_systems.dims)):
-            raise DimensionMismatch(f"declared dims {dims} != operator dims {found}")
     if theta is not None and tol in theta._memo:
         return theta._memo[tol][0]
     choi = ChoiRep(op, CHOI_ORDER[:2], CHOI_ORDER[2:])
@@ -471,19 +466,14 @@ def q_apply_to_state(family: SuperKrausFamily, e: ChoiRep,
 
 
 def super_stinespring(family: SuperKrausFamily) -> LabeledOperator:
-    """Dilation operator stacking the Q layouts: (B1, A1, A2) -> (B2, E).
+    """Dilation operator (B1, A1, A2) -> (B2, E): the Q operators stacked as
+    :func:`stinespring_from_kraus` stacks Kraus operators.
 
     It obeys the relaxed normalization Tr_B1[V†V] = 1 on A1 ⊗ A2 rather than
     being an isometry; with a trivial pre-processing stage it reduces to the
     ordinary channel dilation isometry.
     """
-    d = family.dims
-    r = len(family.q_ops)
-    blocks = np.stack([q.matrix for q in family.q_ops])  # (r, b2, b1*a1*a2)
-    v = blocks.transpose(1, 0, 2).reshape(d.b2 * r, d.b1 * d.a1 * d.a2)
-    in_sys = SystemList([("B1", d.b1), ("A1", d.a1), ("A2", d.a2)])
-    out_sys = SystemList([("B2", d.b2), ("E", r)])
-    return LabeledOperator(v, in_sys, out_sys)
+    return _stacked(KrausRep(family.q_ops))
 
 
 def stinespring_apply_to_state(v_s: LabeledOperator, family: SuperKrausFamily,

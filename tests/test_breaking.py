@@ -355,6 +355,26 @@ class TestBreakingReport:
         assert report.type_II_exactness == "ppt-necessary-only"
 
 
+class TestPptSystemLists:
+    """Both PPT entry points need one system list on the two sides."""
+
+    def test_reordered_outputs_rejected(self):
+        op = LabeledOperator(np.eye(6), [("A", 2), ("B", 3)],
+                             [("B", 3), ("A", 2)])
+        with pytest.raises(DimensionMismatch, match="one system list"):
+            ppt_test(op, Bipartition(("A",), ("B",)))
+        with pytest.raises(DimensionMismatch, match="one system list"):
+            ppt_battery(op)
+
+    def test_non_square_matrix_rejected(self):
+        op = LabeledOperator(np.ones((2, 3)), [("A", 3), ("B", 1)],
+                             [("A", 2), ("B", 1)])
+        with pytest.raises(DimensionMismatch, match="one system list"):
+            ppt_test(op, Bipartition(("A",), ("B",)))
+        with pytest.raises(DimensionMismatch, match="one system list"):
+            ppt_battery(op)
+
+
 class TestPptBattery:
     def test_fully_product_terms_pass_all_cuts(self):
         from superchan.breaking import ppt_battery
@@ -554,6 +574,14 @@ class TestPptKernel:
     def test_near_cutoff_bit_identical(self, monkeypatch, lapack, eps):
         assert_same_witnesses(*kernel_and_fallback(monkeypatch, lapack,
                                                    near_cutoff(eps)))
+
+    def test_scipy_openblas_build_binds(self):
+        # numpy built on scipy-openblas exports both routines: a binding
+        # that stops resolving would turn every kernel test into a skip
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack["name"] != "scipy-openblas":
+            pytest.skip(f"numpy's LAPACK is {lapack['name']}")
+        assert breaking._lapack() is not None
 
     def test_spectrum_is_eigvalsh(self, lapack):
         rng = np.random.default_rng(11)

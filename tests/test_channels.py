@@ -30,7 +30,12 @@ from superchan.channels import (
 )
 from superchan.errors import DimensionMismatch, NotPSD, NotTP
 from superchan.documents import load_document, save_document
-from superchan.operators import LabeledOperator, gamma, identity_operator
+from superchan.operators import (
+    LabeledOperator,
+    gamma,
+    identity_operator,
+    permute_systems,
+)
 
 
 def kraus_identity(d=2):
@@ -151,6 +156,16 @@ class TestStinespring:
         )
         with pytest.raises(NotTP):
             stinespring_from_kraus(k)
+
+    def test_environment_must_be_last(self):
+        # kraus_from_stinespring reads E as the last output leg
+        s = stinespring_from_kraus(random_channel(2, 3, 2, seed=1))
+        assert s.v.out_systems.labels == ("B", "E")
+        e_first = permute_systems(s.v, ("A",), ("E", "B"))
+        with pytest.raises(DimensionMismatch, match="last output"):
+            StinespringRep(e_first, "E")
+        with pytest.raises(DimensionMismatch, match="last output"):
+            StinespringRep(s.v, "F")
 
     def test_inverse_returns_env_dim_operators(self):
         s = stinespring_from_kraus(kraus_identity(2))

@@ -14,6 +14,7 @@ from superchan.errors import (
 )
 from superchan.operators import (
     LabeledOperator,
+    System,
     SystemList,
     gamma,
     identity_operator,
@@ -144,6 +145,17 @@ class TestSystemList:
     def test_bad_dim_rejected(self):
         with pytest.raises(DimensionMismatch):
             SystemList([("A", 0)])
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, np.True_, "2", None])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            SystemList([("A", dim)])
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            System("A", dim)
+
+    def test_numpy_integer_dim_is_int(self):
+        (system,) = SystemList([("A", np.int64(3))])
+        assert system.dim == 3 and type(system.dim) is int
 
     def test_total_dim(self):
         assert SystemList([("A", 2), ("B", 3)]).total_dim == 6

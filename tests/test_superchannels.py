@@ -184,24 +184,6 @@ class TestFromPartsAndValidate:
         op = LabeledOperator(theta.op.matrix, systems, systems)
         with pytest.raises(DimensionMismatch, match="'A1', 'A2', 'B1', 'B2'"):
             validate_superchannel(op)
-        assert validate_superchannel(op, dims=QUBIT).valid
-
-    def test_declared_dims_must_match_superchannel(self):
-        theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
-        wrong = SuperchannelDims(3, 3, 3, 3)
-        with pytest.raises(DimensionMismatch, match="declared dims"):
-            validate_superchannel(theta, dims=wrong)
-        # a kept report is not read before the dims are checked
-        assert validate_superchannel(theta, dims=QUBIT).valid
-        with pytest.raises(DimensionMismatch, match="declared dims"):
-            validate_superchannel(theta, dims=wrong)
-
-    def test_declared_dims_must_match_choi_order_operator(self):
-        theta = random_superchannel(QUBIT, memory_dim=2, seed=2)
-        op = LabeledOperator(theta.op.matrix, QUBIT.systems(), QUBIT.systems())
-        with pytest.raises(DimensionMismatch, match="declared dims"):
-            validate_superchannel(op, dims=SuperchannelDims(3, 3, 3, 3))
-        assert validate_superchannel(op, dims=QUBIT).valid
 
     def test_invalid_part_rejected(self):
         k = LabeledOperator(0.5 * np.eye(2), [("A1", 2)], [("E1", 1), ("B1", 2)])
